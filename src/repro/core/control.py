@@ -37,7 +37,6 @@ class RoutingTable:
 
     def __init__(self, n_bins: int, initial: np.ndarray):
         assert len(initial) == n_bins
-        self.n_bins = n_bins
         self.times: list[int] = [0]
         self.tables: list[np.ndarray] = [np.asarray(initial, dtype=np.int64).copy()]
 
@@ -62,9 +61,6 @@ class RoutingTable:
         i = bisect.bisect_right(self.times, time) - 1
         assert i >= 0, f"lookup at {time} precedes first epoch {self.times[0]}"
         return self.tables[i].take(bins)
-
-    def current(self) -> np.ndarray:
-        return self.tables[-1]
 
     def compact(self, frontier: Optional[float]) -> None:
         """Drop epochs no record with time >= frontier could ever consult."""

@@ -39,6 +39,7 @@ from repro.timely.engine import (
     OperatorInstance,
     Probe,
     Simulation,
+    frontier_min,
 )
 from repro.timely.notificator import Notificator
 
@@ -75,21 +76,18 @@ class StateLogic:
         raise NotImplementedError
 
 
-def default_keys(data: Any) -> np.ndarray:
-    return data["k"]
+def take_batch(batch: Batch, idx: np.ndarray, nbytes: float = 0.0) -> Batch:
+    """The records ``idx`` of ``batch``, at the same time. Record batches
+    are dicts of equal-length columns; the key column is ``k``."""
+    return Batch(
+        time=batch.time,
+        data={name: col[idx] for name, col in batch.data.items()},
+        arrivals=None if batch.arrivals is None else batch.arrivals[idx],
+        nbytes=nbytes,
+    )
 
 
-def default_take(data: Any, idx: np.ndarray) -> Any:
-    return {name: col[idx] for name, col in data.items()}
-
-
-def default_concat(datas: list[Any]) -> Any:
-    return {
-        name: np.concatenate([d[name] for d in datas]) for name in datas[0]
-    }
-
-
-def _merge_batches(batches: list[Batch], concat_fn) -> Batch:
+def _merge_batches(batches: list[Batch]) -> Batch:
     """Concatenate same-timestamp batches into one (per-batch costs in the
     simulator are per *apply*, so S consolidates its inbox per timestamp)."""
     if len(batches) == 1:
@@ -99,7 +97,10 @@ def _merge_batches(batches: list[Batch], concat_fn) -> Batch:
     arr = np.concatenate(arrs) if arrs else None
     return Batch(
         time=batches[0].time,
-        data=concat_fn([b.data for b in batches]),
+        data={
+            name: np.concatenate([b.data[name] for b in batches])
+            for name in batches[0].data
+        },
         arrivals=arr,
         nbytes=sum(b.nbytes for b in batches),
     )
@@ -225,7 +226,7 @@ class _FInstance(OperatorInstance):
 
     def _route(self, ctx: Ctx, batch: Batch) -> None:
         mo = self.mo
-        keys = mo.key_fn(batch.data)
+        keys = batch.data["k"]
         bins = mo.bin_fn(keys)
         workers = mo.shared.routing.lookup(batch.time, bins)
         ctx.charge(len(keys) * ctx.sim.cost.c_exchange)
@@ -235,61 +236,63 @@ class _FInstance(OperatorInstance):
         ends = np.append(starts[1:], len(order))
         per_rec_bytes = batch.nbytes / max(len(keys), 1)
         for w, lo, hi in zip(uniq, starts, ends):
-            idx = order[lo:hi]
-            sub = Batch(
-                time=batch.time,
-                data=mo.take_fn(batch.data, idx),
-                arrivals=None if batch.arrivals is None else batch.arrivals[idx],
-                nbytes=per_rec_bytes * (hi - lo),
-            )
+            sub = take_batch(batch, order[lo:hi], per_rec_bytes * (hi - lo))
             ctx.send(mo.data_out_ch, int(w), sub)
 
 
-class _SInstance(OperatorInstance):
-    def __init__(self, owner: "MigratableOperator", worker: int):
-        self.mo = owner
+class _LogicHost(OperatorInstance):
+    """One worker's logic L and its extended Notificator: the apply loop
+    shared by S and the native operator. ``owner`` supplies ``c_record``
+    and ``authority``; with an authority, every applied batch is checked
+    against the configuration (Property 2)."""
+
+    def __init__(self, owner, worker: int):
+        self.owner = owner
         self.logic = owner.logic_factory(worker)
         self.notif = Notificator()
-        self._last_maintained_tick = -1
 
     def held_times(self) -> list[int]:
         t = self.notif.min_time()
         return [] if t is None else [t]
 
+    def apply_ripe(self, ctx: Ctx, gate: Optional[float]) -> bool:
+        """Apply ripe batches in timestamp order, one merged batch per time;
+        return True if any was applied."""
+        owner = self.owner
+        by_time: dict[int, list[Batch]] = {}
+        for t, batch in self.notif.ripe(gate):
+            by_time.setdefault(t, []).append(batch)
+        for t in sorted(by_time):
+            batch = _merge_batches(by_time[t])
+            if owner.authority is not None:
+                keys = batch.data["k"]
+                owner.authority.check(t, owner.bin_fn(keys), self.worker)
+            self.logic.apply(t, batch.data)
+            ctx.charge(len(batch) * owner.c_record)
+            if batch.arrivals is not None:
+                ctx.record_latency(batch.arrivals)
+            for pt, pdata in self.logic.take_postdated():
+                assert pt > t, f"post-dated record at {pt} not after {t}"
+                self.notif.notify_at(pt, Batch(time=pt, data=pdata))
+        return bool(by_time)
+
+
+class _SInstance(_LogicHost):
+    _last_maintained_tick = -1
+
     def uninstall_bin(self, b: int) -> tuple[Any, float, list]:
         """Shared-pointer extraction used by the co-located F instance:
         removes the bin's state *and* its pending records."""
+        mo = self.owner
         payload, nbytes = self.logic.extract_bin(b)
         keep, moved = Notificator(), []
         for t, batch in self.notif.drain_all():
-            keys = self.mo.key_fn(batch.data)
-            mask = self.mo.bin_fn(keys) == b
+            mask = mo.bin_fn(batch.data["k"]) == b
             if mask.any():
-                idx = np.nonzero(mask)[0]
-                moved.append(
-                    (
-                        t,
-                        Batch(
-                            time=batch.time,
-                            data=self.mo.take_fn(batch.data, idx),
-                            arrivals=None
-                            if batch.arrivals is None
-                            else batch.arrivals[idx],
-                        ),
-                    )
-                )
+                moved.append((t, take_batch(batch, np.nonzero(mask)[0])))
                 rest = np.nonzero(~mask)[0]
                 if len(rest):
-                    keep.notify_at(
-                        t,
-                        Batch(
-                            time=batch.time,
-                            data=self.mo.take_fn(batch.data, rest),
-                            arrivals=None
-                            if batch.arrivals is None
-                            else batch.arrivals[rest],
-                        ),
-                    )
+                    keep.notify_at(t, take_batch(batch, rest))
             else:
                 keep.notify_at(t, batch)
         self.notif = keep
@@ -300,20 +303,16 @@ class _SInstance(OperatorInstance):
         return payload, nbytes, moved
 
     def schedule(self, ctx: Ctx) -> bool:
-        mo, sim = self.mo, ctx.sim
+        mo, sim = self.owner, ctx.sim
+        # batches apply once their time is behind both inputs' frontiers
+        gate = frontier_min(mo.data_out_ch.arrive_frontier, mo.state_ch.arrive_frontier)
         # fast path: no queued input and no ripe pending work
         if (
             not mo.state_ch.queues[self.worker]
             and not mo.data_out_ch.queues[self.worker]
         ):
             mn = self.notif.min_time()
-            if mn is None:
-                return False
-            gate0 = mo.data_out_ch.arrive_frontier
-            gate1 = mo.state_ch.arrive_frontier
-            if (gate0 is not None and mn >= gate0) or (
-                gate1 is not None and mn >= gate1
-            ):
+            if mn is None or (gate is not None and mn >= gate):
                 return False
         did = False
         # 1. install migrated state immediately (paper §3.4)
@@ -331,26 +330,7 @@ class _SInstance(OperatorInstance):
             self.notif.notify_at(db.time, db)
             did = True
         # 3. apply ripe batches in timestamp order
-        gate = None
-        for ch in (mo.data_out_ch, mo.state_ch):
-            f = ch.arrive_frontier
-            if f is not None:
-                gate = f if gate is None else min(gate, f)
-        by_time: dict[int, list[Batch]] = {}
-        for t, batch in self.notif.ripe(gate):
-            by_time.setdefault(t, []).append(batch)
-        for t in sorted(by_time):
-            batch = _merge_batches(by_time[t], mo.concat_fn)
-            if mo.authority is not None:
-                keys = mo.key_fn(batch.data)
-                mo.authority.check(t, mo.bin_fn(keys), self.worker)
-            self.logic.apply(t, batch.data)
-            ctx.charge(len(batch) * mo.c_record)
-            if batch.arrivals is not None:
-                ctx.record_latency(batch.arrivals)
-            for pt, pdata in self.logic.take_postdated():
-                assert pt > t, f"post-dated record at {pt} not after {t}"
-                self.notif.notify_at(pt, Batch(time=pt, data=pdata))
+        if self.apply_ripe(ctx, gate):
             did = True
         # 4. per-iteration maintenance: scan of local bins / routing state
         if did and sim.tick_index != self._last_maintained_tick:
@@ -374,22 +354,12 @@ class MigratableOperator:
         c_record: float,
         data_input: InputHandle,
         control_input: InputHandle,
-        key_fn: Callable[[Any], np.ndarray] = default_keys,
-        take_fn: Callable[[Any, np.ndarray], Any] = default_take,
-        concat_fn: Callable[[list[Any]], Any] = default_concat,
-        bin_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        bin_fn: Callable[[np.ndarray], np.ndarray],
         authority: Optional[ConfigAuthority] = None,
     ):
-        from repro.core.binning import bin_of_keys
-
-        self.sim = sim
-        self.n_bins = n_bins
         self.logic_factory = logic_factory
         self.c_record = c_record
-        self.key_fn = key_fn
-        self.take_fn = take_fn
-        self.concat_fn = concat_fn
-        self.bin_fn = bin_fn or (lambda keys: bin_of_keys(keys, n_bins))
+        self.bin_fn = bin_fn
         self.authority = authority
         self.shared = _SharedRouting(RoutingTable(n_bins, initial_assignment))
 
@@ -403,38 +373,14 @@ class MigratableOperator:
         self.s_op.add_instances(lambda w: _SInstance(self, w))
         self.probe = Probe(self.s_op)
 
-    def s_instance(self, worker: int) -> _SInstance:
-        return self.s_op.instances[worker]
 
-
-class _NativeInstance(OperatorInstance):
-    def __init__(self, owner: "NativeOperator", worker: int):
-        self.no = owner
-        self.logic = owner.logic_factory(worker)
-        self.notif = Notificator()
-
-    def held_times(self) -> list[int]:
-        t = self.notif.min_time()
-        return [] if t is None else [t]
-
+class _NativeInstance(_LogicHost):
     def schedule(self, ctx: Ctx) -> bool:
         did = False
-        for db in self.no.data_ch.take(self.worker):
+        for db in self.owner.data_ch.take(self.worker):
             self.notif.notify_at(db.time, db)
             did = True
-        gate = self.no.data_ch.arrive_frontier
-        by_time: dict[int, list[Batch]] = {}
-        for t, batch in self.notif.ripe(gate):
-            by_time.setdefault(t, []).append(batch)
-        for t in sorted(by_time):
-            batch = _merge_batches(by_time[t], self.no.concat_fn)
-            self.logic.apply(t, batch.data)
-            ctx.charge(len(batch) * self.no.c_record)
-            if batch.arrivals is not None:
-                ctx.record_latency(batch.arrivals)
-            for pt, pdata in self.logic.take_postdated():
-                assert pt > t, f"post-dated record at {pt} not after {t}"
-                self.notif.notify_at(pt, Batch(time=pt, data=pdata))
+        if self.apply_ripe(ctx, self.owner.data_ch.arrive_frontier):
             did = True
         return did
 
@@ -451,12 +397,10 @@ class NativeOperator:
         logic_factory: Callable[[int], StateLogic],
         c_record: float,
         data_input: InputHandle,
-        concat_fn: Callable[[list[Any]], Any] = default_concat,
     ):
-        self.sim = sim
         self.logic_factory = logic_factory
         self.c_record = c_record
-        self.concat_fn = concat_fn
+        self.authority = None
         self.op = Operator(sim, f"{name}.native")
         self.data_ch = Channel(f"{name}.data_in", data_input, self.op)
         self.op.add_instances(lambda w: _NativeInstance(self, w))

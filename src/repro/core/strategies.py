@@ -133,7 +133,8 @@ class MigrationDriver:
         self.authority = authority
         self.control_worker = control_worker
         self.gap_ticks = gap_ticks
-        self.queue: list[tuple[float, str, list[list[tuple[int, int]]]]] = []
+        # (at_s, record, steps), ordered by at_s
+        self.queue: list[tuple[float, MigrationRecord, list]] = []
         self.active: Optional[MigrationRecord] = None
         self._steps: list[list[tuple[int, int]]] = []
         self._last_step_time: Optional[int] = None
@@ -159,23 +160,17 @@ class MigrationDriver:
             steps_total=len(steps),
             moves_total=len(moves),
         )
-        self.queue.append((at_s, strategy, steps))
+        self.queue.append((at_s, rec, steps))
         self.queue.sort(key=lambda x: x[0])
         self.records.append(rec)
         return rec
-
-    def _rec_for(self, steps: list) -> MigrationRecord:
-        done = sum(1 for r in self.records if r.completed_s is not None)
-        return self.records[done]
 
     def on_tick(self, sim: Simulation, t0: float) -> None:
         if self.control.epoch is None:  # input closed (drain): nothing to drive
             return
         t_ns = int(round(t0 * 1e9))
         if self.active is None and self.queue and t0 >= self.queue[0][0] - 1e-12:
-            _, strategy, steps = self.queue.pop(0)
-            self.active = self._rec_for(steps)
-            self._steps = steps
+            _, self.active, self._steps = self.queue.pop(0)
             self._last_step_time = None
             self._gap_left = 0
             sim.latency_windows.append(self.active.window)

@@ -64,15 +64,6 @@ class LatencyHistogram:
         idx = int(np.searchsorted(cum, target))
         return float(min(self._edge(idx), self.max if self.max > 0 else np.inf))
 
-    def ccdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """(latency_s, P[latency > x]) pairs for plotting/analysis."""
-        nz = np.nonzero(self.counts)[0]
-        if nz.size == 0:
-            return np.array([]), np.array([])
-        cum = np.cumsum(self.counts)
-        probs = 1.0 - cum / self.total
-        return self._edge(nz), probs[nz]
-
 
 def percentile_table(hist: LatencyHistogram) -> dict[str, float]:
     """Paper-style row: 90/99/99.99 percentiles and max, in milliseconds."""

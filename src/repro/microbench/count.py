@@ -20,25 +20,18 @@ optionally performs timed migrations via :class:`MigrationDriver`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.core.binning import range_bin_bounds, range_bin_of_keys
-from repro.core.control import ConfigAuthority
-from repro.core.operators import MigratableOperator, NativeOperator, StateLogic
-from repro.core.strategies import (
-    MigrationDriver,
-    MigrationRecord,
-    initial_assignment,
-    migration_moves,
-    rebalance_moves,
-)
-from repro.core.binning import hash_keys
+from repro.core.harness import run_open_loop
+from repro.core.operators import StateLogic
+from repro.core.strategies import MigrationRecord, initial_assignment, migration_moves
 from repro.latency.histogram import LatencyHistogram
 from repro.timely.cost import CostModel
-from repro.timely.engine import Batch, InputHandle, Simulation
+from repro.timely.engine import Simulation
 
 
 class CountLogic(StateLogic):
@@ -131,14 +124,8 @@ def run_count(
     completion_timeout_s: float = 600.0,
     strict_completion: bool = True,
 ) -> CountRun:
-    """Run the counting benchmark.
-
-    ``migrations`` is a list of dicts: ``{"at_s": float, "moves":
-    "imbalance"|"rebalance"|list, "strategy": str, "batch_size": int|None,
-    "gap_ticks": int}``. The steady-state histogram covers
-    ``[warmup_s, first migration)`` (or the whole post-warmup run when no
-    migration is scheduled).
-    """
+    """Run the counting benchmark on :func:`run_open_loop` (which documents
+    ``migrations`` and the steady-state window)."""
     cost = cost or CostModel()
     sim = Simulation(cost)
     sim.sample_memory = sample_memory
@@ -149,7 +136,6 @@ def run_count(
     bin_nbytes = nominal_keys / n_bins * cost.bytes_per_key(flavour)
     c_record = cost.record_cost(flavour, impl, nominal_keys)
 
-    data_in = InputHandle(sim, "data")
     assign = initial_assignment(n_bins, W)
     if initial_imbalanced:
         # start from the post-first-migration (imbalanced) configuration, so
@@ -158,124 +144,64 @@ def run_count(
         for b, w in migration_moves(n_bins, W):
             assign[b] = w
     logics: list[StateLogic] = []
-    driver = None
-    authority = None
     if impl == "megaphone":
-        control_in = InputHandle(sim, "control")
-        authority = ConfigAuthority(n_bins, assign)
-        mo = MigratableOperator(
-            sim,
-            "count",
-            n_bins=n_bins,
-            initial_assignment=assign,
-            logic_factory=lambda w: _make_logic(
-                logics, w, scaled_keys, n_bins, bin_nbytes, assign
-            ),
-            c_record=c_record,
-            data_input=data_in,
-            control_input=control_in,
-            bin_fn=lambda keys: range_bin_of_keys(keys, n_bins, scaled_keys),
-            authority=authority,
-        )
-        probe = mo.probe
         # pre-loaded nominal state footprint, per process
         for b in range(n_bins):
             sim.state_bytes[cost.process_of(int(assign[b]))] += bin_nbytes
-        gap_ticks = max((m.get("gap_ticks", 0) for m in migrations or []), default=0)
-        driver = MigrationDriver(
-            sim, control_in, probe, authority=authority, gap_ticks=gap_ticks
-        )
-        for m in migrations or []:
-            moves = m["moves"]
-            if moves == "imbalance":
-                moves = migration_moves(n_bins, W)
-            elif moves == "rebalance":
-                moves = rebalance_moves(n_bins, W)
-            driver.schedule_migration(
-                m["at_s"],
-                moves,
-                m["strategy"],
-                batch_size=m.get("batch_size"),
-                assignment=assign,
-            )
     else:
-        assert not migrations, "native operator cannot migrate"
-        no = NativeOperator(
-            sim,
-            "count",
-            logic_factory=lambda w: _make_logic_native(logics, w, scaled_keys),
-            c_record=c_record,
-            data_input=data_in,
-        )
-        probe = no.probe
         sim.state_bytes[:] = (
             nominal_keys * cost.bytes_per_key(flavour) / cost.processes
         )
 
+    def make_logic(w: int) -> StateLogic:
+        if impl == "megaphone":
+            lg = CountLogic(
+                w,
+                scaled_keys=scaled_keys,
+                n_bins=n_bins,
+                bin_nbytes=bin_nbytes,
+                assignment=assign,
+            )
+        else:
+            lg = NativeCountLogic(w, scaled_keys)
+        logics.append(lg)
+        return lg
+
     rng = np.random.default_rng(seed)
-    steady = LatencyHistogram()
-    first_mig = min((m["at_s"] for m in migrations or []), default=duration_s)
     all_keys: list[np.ndarray] = []
     frac = [0.0]
-    tick_ns = int(round(cost.tick * 1e9))
 
-    def feed(sim_: Simulation, t0: float) -> None:
-        if data_in.epoch is None:  # closed during drain
-            return
-        t_ns = int(round(t0 * 1e9))
+    def source(t0: float):
         frac[0] += rate * cost.tick
         n = int(frac[0])
         frac[0] -= n
-        if n > 0:
-            keys = rng.integers(0, scaled_keys, n)
-            if keep_inputs:
-                all_keys.append(keys)
-            # records dispatched at tick start arrived during the preceding
-            # tick interval (open-loop batching granularity = one tick)
-            arrivals = t0 - cost.tick + np.linspace(0.0, cost.tick, n, endpoint=False)
-            # ingest at one worker per process, rotating each tick (the
-            # paper's harness feeds at every process; rotation keeps the
-            # ingest-side routing cost balanced across workers over time)
-            wpp = cost.workers_per_process
-            group = sim_.tick_index % wpp
-            targets = [w for w in range(W) if w % wpp == group]
-            splits = np.array_split(np.arange(n), len(targets))
-            for w, idx in zip(targets, splits):
-                if len(idx):
-                    data_in.send(
-                        w,
-                        Batch(
-                            time=t_ns,
-                            data={"k": keys[idx[0] : idx[-1] + 1]},
-                            arrivals=arrivals[idx[0] : idx[-1] + 1],
-                            nbytes=8.0 * len(idx),
-                        ),
-                    )
-        data_in.advance_to(t_ns + tick_ns)
+        if n <= 0:
+            return None
+        keys = rng.integers(0, scaled_keys, n)
+        if keep_inputs:
+            all_keys.append(keys)
+        # records dispatched at tick start arrived during the preceding
+        # tick interval (open-loop batching granularity = one tick)
+        arrivals = t0 - cost.tick + np.linspace(0.0, cost.tick, n, endpoint=False)
+        return {"k": keys}, arrivals
 
-    sim.on_tick.insert(0, feed)
-    in_steady = [False]
-
-    def steady_window(sim_: Simulation, t0: float) -> None:
-        want = warmup_s <= t0 < first_mig
-        if want and not in_steady[0]:
-            sim_.latency_windows.append(steady)
-            in_steady[0] = True
-        elif not want and in_steady[0]:
-            sim_.latency_windows.remove(steady)
-            in_steady[0] = False
-
-    sim.on_tick.append(steady_window)
-
-    sim.run(duration_s)
-    # run on until scheduled migrations complete
-    if driver is not None and not driver.idle:
-        sim.run_until(lambda s: driver.idle, max_seconds=completion_timeout_s)
-        if strict_completion:
-            assert driver.idle, "migration did not complete (liveness violation)"
-    total = sim.latency.total
-    if drain:
-        sim.drain(max_seconds=600.0)
+    steady, records, total = run_open_loop(
+        sim,
+        "count",
+        impl=impl,
+        assignment=assign,
+        logic_factory=make_logic,
+        c_record=c_record,
+        bin_fn=lambda keys: range_bin_of_keys(keys, n_bins, scaled_keys),
+        source=source,
+        record_nbytes=8.0,
+        duration_s=duration_s,
+        warmup_s=warmup_s,
+        migrations=migrations,
+        completion_timeout_s=completion_timeout_s,
+        strict_completion=strict_completion,
+        drain=drain,
+    )
 
     final = None
     if logics:
@@ -290,7 +216,7 @@ def run_count(
         rate=rate,
         latency=sim.latency,
         steady=steady,
-        migrations=list(driver.records) if driver else [],
+        migrations=records,
         memory_samples=sim.memory_samples,
         total_records=total,
         final_counts=final,
@@ -298,20 +224,3 @@ def run_count(
         sim=sim,
     )
 
-
-def _make_logic(logics, w, scaled_keys, n_bins, bin_nbytes, assign):
-    lg = CountLogic(
-        w,
-        scaled_keys=scaled_keys,
-        n_bins=n_bins,
-        bin_nbytes=bin_nbytes,
-        assignment=assign,
-    )
-    logics.append(lg)
-    return lg
-
-
-def _make_logic_native(logics, w, scaled_keys):
-    lg = NativeCountLogic(w, scaled_keys)
-    logics.append(lg)
-    return lg

@@ -5,10 +5,10 @@ Events flow as dict-of-numpy-array batches with one unified schema
 queries (Q3, Q8) multiplex both relations onto one keyed stream — exactly
 the reduction the paper describes for operators with multiple data inputs.
 
-``run_nexmark`` is the open-loop harness: it replays a generated event
-stream at its native rate, optionally performs migrations via
-:class:`MigrationDriver`, and returns latency histograms, migration records
-and the query's emitted results for oracle comparison.
+``run_nexmark`` replays a generated event stream at its native rate on the
+shared open-loop harness (:func:`repro.core.harness.run_open_loop`),
+optionally migrating state, and returns latency histograms, migration
+records and the query's emitted results for oracle comparison.
 """
 from __future__ import annotations
 
@@ -19,19 +19,13 @@ import numpy as np
 import pandas as pd
 
 from repro.core.binning import bin_of_keys, hash_keys
-from repro.core.control import ConfigAuthority
-from repro.core.operators import MigratableOperator, NativeOperator, StateLogic
-from repro.core.strategies import (
-    MigrationDriver,
-    MigrationRecord,
-    initial_assignment,
-    migration_moves,
-    rebalance_moves,
-)
+from repro.core.harness import run_open_loop
+from repro.core.operators import StateLogic
+from repro.core.strategies import MigrationRecord, initial_assignment
 from repro.latency.histogram import LatencyHistogram
 from repro.nexmark.generator import nexmark_events, split_events
 from repro.timely.cost import CostModel
-from repro.timely.engine import Batch, InputHandle, Simulation
+from repro.timely.engine import Simulation
 
 # unified stream schema: etypes 0 person / 1 auction / 2 bid / 3 closed
 # auction / 9 timer
@@ -243,10 +237,6 @@ def _codes(col: pd.Series, vocab: np.ndarray) -> np.ndarray:
     return col.map(lambda s: m.get(s, 0)).to_numpy(dtype=np.int64)
 
 
-def _take(data, idx):
-    return {f: data[f][idx] for f in FIELDS}
-
-
 def run_nexmark(
     *,
     query: str,
@@ -260,7 +250,6 @@ def run_nexmark(
     window_ms: int = 10_000,
     slide_ms: int = 2_000,
     state_scale: float = 1.0,
-    check_authority: bool = True,
 ) -> NexRun:
     """Replay a NEXMark query on the simulated runtime."""
     from repro.nexmark import queries_native as QN
@@ -292,125 +281,48 @@ def run_nexmark(
         logics.append(lg)
         return lg
 
-    data_in = InputHandle(sim, "data")
-    c_record = cost.record_cost("hash", impl, 1e6)
-    driver = None
-    if impl == "megaphone":
-        control_in = InputHandle(sim, "control")
-        authority = ConfigAuthority(n_bins, assign) if check_authority else None
-        mo = MigratableOperator(
-            sim,
-            query,
-            n_bins=n_bins,
-            initial_assignment=assign,
-            logic_factory=mk,
-            c_record=c_record,
-            data_input=data_in,
-            control_input=control_in,
-            take_fn=_take,
-            bin_fn=lambda keys: bin_of_keys(keys, n_bins),
-            authority=authority,
-        )
-        driver = MigrationDriver(
-            sim,
-            control_in,
-            mo.probe,
-            authority=authority,
-            gap_ticks=max(
-                (m.get("gap_ticks", 0) for m in migrations or []), default=0
-            ),
-        )
-        for m in migrations or []:
-            moves = m["moves"]
-            if moves == "imbalance":
-                moves = migration_moves(n_bins, W)
-            elif moves == "rebalance":
-                moves = rebalance_moves(n_bins, W)
-            driver.schedule_migration(
-                m["at_s"],
-                moves,
-                m["strategy"],
-                batch_size=m.get("batch_size"),
-                assignment=assign,
-            )
-    else:
-        assert not migrations, "native operator cannot migrate"
-        NativeOperator(
-            sim, query, logic_factory=mk, c_record=c_record, data_input=data_in
-        )
-
-    # open-loop replay: per tick, ship the events whose time falls in it
+    # open-loop replay: per tick, ship the events that arrived during the
+    # preceding tick interval
     ts_s = stream["ts"] * 1e-3
     n = len(ts_s)
-    duration_s = (float(ts_s[-1]) if n else 0.0) + 2 * cost.tick
     cursor = [0]
-    tick_ns = int(round(cost.tick * 1e9))
-    # the native operator needs its input exchanged by key (it cannot
-    # re-route); Megaphone's F does the keyed exchange itself, so its input
-    # only needs to be spread across workers
-    key_dest = (hash_keys(stream["k"]) % np.uint64(W)).astype(np.int64)
 
-    def feed(sim_, t0):
-        if data_in.epoch is None:
-            return
-        t_ns = int(round(t0 * 1e9))
-        # dispatch events that arrived during the preceding tick interval
+    def source(t0: float):
         lo = cursor[0]
         hi = lo + int(np.searchsorted(ts_s[lo:], t0))
-        if hi > lo:
-            idx = np.arange(lo, hi)
-            cursor[0] = hi
-            if impl == "native":
-                dest = key_dest[idx]
-                parts = [idx[dest == w] for w in range(W)]
-                targets = list(range(W))
-            else:
-                wpp = cost.workers_per_process
-                group = sim_.tick_index % wpp
-                targets = [w for w in range(W) if w % wpp == group]
-                parts = np.array_split(idx, len(targets))
-            for w, part in zip(targets, parts):
-                if len(part):
-                    data_in.send(
-                        w,
-                        Batch(
-                            time=t_ns,
-                            data=_take(stream, part),
-                            arrivals=ts_s[part],
-                            nbytes=64.0 * len(part),
-                        ),
-                    )
-        data_in.advance_to(t_ns + tick_ns)
+        if hi == lo:
+            return None
+        cursor[0] = hi
+        return {f: col[lo:hi] for f, col in stream.items()}, ts_s[lo:hi]
 
-    sim.on_tick.insert(0, feed)
+    def key_dest(data) -> np.ndarray:
+        return (hash_keys(data["k"]) % np.uint64(W)).astype(np.int64)
 
-    steady = LatencyHistogram()
-    first_mig = min((m["at_s"] for m in migrations or []), default=duration_s)
-    in_steady = [False]
-
-    def steady_window(sim_, t0):
-        want = 0.5 <= t0 < first_mig
-        if want and not in_steady[0]:
-            sim_.latency_windows.append(steady)
-            in_steady[0] = True
-        elif not want and in_steady[0]:
-            sim_.latency_windows.remove(steady)
-            in_steady[0] = False
-
-    sim.on_tick.append(steady_window)
-
-    sim.run(duration_s)
-    if driver is not None and not driver.idle:
-        sim.run_until(lambda s: driver.idle, max_seconds=600.0)
-        assert driver.idle, "migration did not complete"
-    sim.drain(max_seconds=600.0)
+    steady, records, _ = run_open_loop(
+        sim,
+        query,
+        impl=impl,
+        assignment=assign,
+        logic_factory=mk,
+        c_record=cost.record_cost("hash", impl, 1e6),
+        bin_fn=lambda keys: bin_of_keys(keys, n_bins),
+        source=source,
+        record_nbytes=64.0,
+        duration_s=(float(ts_s[-1]) if n else 0.0) + 2 * cost.tick,
+        warmup_s=0.5,
+        migrations=migrations,
+        # the native operator needs its input exchanged by key (it cannot
+        # re-route); Megaphone's F does the keyed exchange itself, so its
+        # input only needs to be spread across workers
+        key_dest=key_dest if impl == "native" else None,
+    )
     return NexRun(
         query=query,
         impl=impl,
         results=qr.results,
         latency=sim.latency,
         steady=steady,
-        migrations=list(driver.records) if driver else [],
+        migrations=records,
         logics=logics,
         sim=sim,
     )

@@ -1,12 +1,11 @@
 """Simulated timely-dataflow substrate.
 
-Provides the dataflow concepts Megaphone is built on (Naiad-style logical
-timestamps, antichain frontiers, capabilities, exchange channels, probes)
+Provides the dataflow concepts Megaphone is built on (integer logical
+timestamps, frontiers, capabilities, exchange channels, probes)
 together with a discrete-event cluster model (per-worker clocks, per-process
 NIC bandwidth queues) that supplies the latency/duration/memory axes of the
 paper's evaluation.
 """
-from repro.timely.order import Antichain, less_equal
 from repro.timely.cost import CostModel
 from repro.timely.engine import (
     Batch,
@@ -20,8 +19,6 @@ from repro.timely.engine import (
 from repro.timely.notificator import Notificator
 
 __all__ = [
-    "Antichain",
-    "less_equal",
     "CostModel",
     "Batch",
     "Channel",

@@ -59,9 +59,6 @@ class CostModel:
     c_bin_scan: float = 30e-9
     bin_scan_exponent: float = 1.5
 
-    # Fixed per-scheduling-iteration overhead (progress tracking et al.).
-    c_sched: float = 120e-6
-
     # State movement: serialisation / deserialisation throughput and network.
     ser_bw: float = 2.0e9  # bytes/s per worker when extracting state
     deser_bw: float = 3.0e9  # bytes/s when installing received state

@@ -36,7 +36,17 @@ import numpy as np
 
 from repro.latency.histogram import LatencyHistogram
 from repro.timely.cost import CostModel
-from repro.timely.order import frontier_min
+
+
+def frontier_min(*candidates: Optional[float]) -> Optional[float]:
+    """Minimum of integer frontiers where ``None`` means closed/empty.
+
+    Timestamps are totally ordered, so a frontier is a single minimum. A
+    closed input contributes nothing; if every candidate is closed the
+    result is closed (None).
+    """
+    live = [c for c in candidates if c is not None]
+    return min(live) if live else None
 
 
 @dataclass(eq=False)
@@ -227,9 +237,6 @@ class Probe:
     def __init__(self, op: Operator):
         self.op = op
 
-    def frontier(self) -> Optional[float]:
-        return self.op.could_produce
-
     def reached(self, t: int) -> bool:
         """True iff nothing earlier than ``t`` can still appear at the output
         (``t`` is present in or behind the frontier) — the condition for
@@ -356,9 +363,6 @@ class Simulation:
                 ch.arrive_frontier = frontier_min(
                     op.could_produce, ch.undelivered.min()
                 )
-
-    def channel_frontier(self, ch: Channel) -> Optional[float]:
-        return ch.gate_frontier
 
     # -- main loop ---------------------------------------------------------
     def step_tick(self) -> None:

@@ -26,10 +26,6 @@ class Notificator:
         heapq.heappush(self._heap, (time, self._seq, payload))
         self._seq += 1
 
-    def pending_times(self) -> list[int]:
-        """Distinct times still pending (capabilities)."""
-        return sorted({t for t, _, _ in self._heap})
-
     def min_time(self) -> Optional[int]:
         return self._heap[0][0] if self._heap else None
 

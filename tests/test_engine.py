@@ -14,6 +14,7 @@ from repro.timely.engine import (
     Simulation,
     _Nic,
     _TimeSet,
+    frontier_min,
 )
 
 
@@ -71,6 +72,16 @@ def build_sim(**cost_kw):
 
     op.add_instances(mk)
     return sim, inp, op, ch, insts
+
+
+class TestFrontierMin:
+    def test_plain_min(self):
+        assert frontier_min(3, 5) == 3
+
+    def test_none_is_closed(self):
+        assert frontier_min(None, 5) == 5
+        assert frontier_min(None, None) is None
+        assert frontier_min() is None
 
 
 class TestTimeSet:

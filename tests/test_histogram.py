@@ -47,15 +47,6 @@ class TestLatencyHistogram:
         h.record(np.linspace(1e-4, 1e-2, 500))
         assert h.total == 500
 
-    def test_ccdf_shape(self):
-        h = LatencyHistogram()
-        h.record(np.random.default_rng(1).uniform(1e-4, 1e-2, 2000))
-        x, p = h.ccdf()
-        assert len(x) == len(p)
-        assert np.all(np.diff(x) > 0)
-        # CCDF decreasing
-        assert np.all(np.diff(p) <= 1e-12)
-
     def test_accuracy_against_numpy(self):
         h = LatencyHistogram()
         rng = np.random.default_rng(2)

@@ -203,3 +203,26 @@ def test_random_migrations_preserve_counts(strategy, seed, n_bins, data):
         migrations=[{"at_s": 0.4, "moves": moves, "strategy": strategy}],
     )
     assert_counts_correct(run)
+
+
+class TestMigrationQueue:
+    def test_migrations_scheduled_out_of_time_order(self):
+        """Migrations requested out of time order each run with their own
+        plan and record: the earlier one starts first, whatever the call
+        order."""
+        run = quick_run(
+            migrations=[
+                {"at_s": 0.9, "moves": "imbalance", "strategy": "fluid"},
+                {"at_s": 0.4, "moves": [(1, 0)], "strategy": "all_at_once"},
+            ]
+        )
+        late, early = run.migrations
+        assert (late.strategy, late.moves_total, late.steps_issued) == ("fluid", 8, 8)
+        assert (early.strategy, early.moves_total, early.steps_issued) == (
+            "all_at_once",
+            1,
+            1,
+        )
+        assert early.completed_s <= late.started_s
+        assert 0.4 <= early.started_s < 0.9 <= late.started_s
+        assert_counts_correct(run)

@@ -37,7 +37,7 @@ class TestNotificator:
         n.notify_at(7, "y")
         n.notify_at(3, "z")
         assert n.min_time() == 3
-        assert n.pending_times() == [3, 7]
+        assert [t for t, _ in n.drain_all()] == [3, 7, 7]
 
     def test_drain_all(self):
         n = Notificator()
@@ -60,4 +60,4 @@ class TestNotificator:
             n.notify_at(t, t)
         ripe = [t for t, _ in n.ripe(frontier)]
         assert ripe == sorted(t for t in times if t < frontier)
-        assert sorted(n.pending_times()) == sorted({t for t in times if t >= frontier})
+        assert [t for t, _ in n.drain_all()] == sorted(t for t in times if t >= frontier)

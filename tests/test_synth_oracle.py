@@ -1,32 +1,10 @@
-"""Tests for the provided scaffolding: synth_data generators and the DuckDB
-oracle itself (used by count/NEXMark correctness tests)."""
+"""Tests for the DuckDB oracle itself (used by count/NEXMark correctness
+tests)."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
-
-
-class TestSynthData:
-    def test_lineitem_schema_and_determinism(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001, seed=1).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001, seed=1).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-        assert {"l_orderkey", "l_quantity", "l_extendedprice"} <= set(a.columns)
-
-    def test_orders_keys_sequential(self, spark):
-        o = synth_data.orders(spark, sf=0.001).toPandas()
-        assert o.o_orderkey.tolist() == list(range(1, len(o) + 1))
-
-    def test_uniform_keys_range(self, spark):
-        df = synth_data.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-        assert df.k.between(1, 50).all()
-
-    def test_zipf_keys_skewed(self, spark):
-        df = synth_data.zipf_keys(spark, n=5000, n_keys=1000, alpha=1.3).toPandas()
-        counts = df.k.value_counts()
-        assert counts.iloc[0] > 10 * counts.median()
 
 
 class TestOracle:
@@ -50,10 +28,24 @@ class TestOracle:
             assert_equivalent(got, "SELECT k FROM t", t=pdf)
 
     def test_tpch_q1_lite(self, spark):
-        """A TPC-H Q1-style aggregate over synthetic lineitem, oracle-checked
-        (exercises the shuffle path with broadcast joins disabled)."""
-        li = synth_data.lineitem(spark, sf=0.002)
+        """A TPC-H Q1-style aggregate over a small lineitem table,
+        oracle-checked (exercises the shuffle path with broadcast joins
+        disabled)."""
         import pyspark.sql.functions as F
+
+        g = np.random.default_rng(1)
+        n = 400
+        li = spark.createDataFrame(
+            pd.DataFrame(
+                {
+                    "l_quantity": g.integers(1, 51, n).astype("float64"),
+                    "l_returnflag": g.choice(list("NRA"), n),
+                    "l_linestatus": g.choice(list("OF"), n),
+                    "l_shipdate": pd.to_datetime("1992-01-01")
+                    + pd.to_timedelta(g.integers(0, 2557, n), unit="D"),
+                }
+            )
+        )
 
         got = (
             li.filter(F.col("l_shipdate") <= "1998-09-01")
