@@ -7,7 +7,8 @@ fixed at startup.
 
 Two assignments are provided:
 
-* ``bin_of_keys`` — MSBs of a splitmix64 hash (the paper's scheme);
+* ``bin_of_keys`` — MSBs of a splitmix64 hash (the paper's scheme), and
+  ``bin_of_key``, the same for one key;
 * ``range_bin_of_keys`` — contiguous range partitioning of a dense integer
   key domain, used by the dense-array ("key count") workload so a bin's
   state is a contiguous array slice. Both are static key equivalence
@@ -21,11 +22,11 @@ import numpy as np
 def hash_keys(keys: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 finaliser over int keys (returns uint64)."""
     z = keys.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z += np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+    # uint64 array arithmetic wraps modulo 2**64 without a warning
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
     return z
 
 
@@ -38,6 +39,18 @@ def bin_of_keys(keys: np.ndarray, n_bins: int) -> np.ndarray:
         return np.zeros(len(keys), dtype=np.int64)
     shift = np.uint64(64 - (int(n_bins).bit_length() - 1))
     return (hash_keys(keys) >> shift).astype(np.int64)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def bin_of_key(key: int, n_bins: int) -> int:
+    """``bin_of_keys`` for one int key, in Python integers (no array)."""
+    z = (key + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z ^= z >> 31
+    return z >> (64 - (n_bins.bit_length() - 1))
 
 
 def range_bin_of_keys(keys: np.ndarray, n_bins: int, domain: int) -> np.ndarray:

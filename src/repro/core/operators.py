@@ -76,9 +76,10 @@ class StateLogic:
         raise NotImplementedError
 
 
-def take_batch(batch: Batch, idx: np.ndarray, nbytes: float = 0.0) -> Batch:
-    """The records ``idx`` of ``batch``, at the same time. Record batches
-    are dicts of equal-length columns; the key column is ``k``."""
+def take_batch(batch: Batch, idx: np.ndarray | slice, nbytes: float = 0.0) -> Batch:
+    """The records ``idx`` of ``batch``, at the same time (a slice gives
+    views). Record batches are dicts of equal-length columns; the key
+    column is ``k``."""
     return Batch(
         time=batch.time,
         data={name: col[idx] for name, col in batch.data.items()},
@@ -230,14 +231,17 @@ class _FInstance(OperatorInstance):
         bins = mo.bin_fn(keys)
         workers = mo.shared.routing.lookup(batch.time, bins)
         ctx.charge(len(keys) * ctx.sim.cost.c_exchange)
+        # one gather in destination order, then a slice per destination
         order = np.argsort(workers, kind="stable")
-        dest_sorted = workers[order]
-        uniq, starts = np.unique(dest_sorted, return_index=True)
-        ends = np.append(starts[1:], len(order))
+        by_dest = take_batch(batch, order)
         per_rec_bytes = batch.nbytes / max(len(keys), 1)
-        for w, lo, hi in zip(uniq, starts, ends):
-            sub = take_batch(batch, order[lo:hi], per_rec_bytes * (hi - lo))
-            ctx.send(mo.data_out_ch, int(w), sub)
+        hi = 0
+        for w, n in enumerate(np.bincount(workers).tolist()):
+            if not n:
+                continue
+            lo, hi = hi, hi + n
+            sub = take_batch(by_dest, slice(lo, hi), per_rec_bytes * n)
+            ctx.send(mo.data_out_ch, w, sub)
 
 
 class _LogicHost(OperatorInstance):
@@ -283,19 +287,24 @@ class _SInstance(_LogicHost):
     def uninstall_bin(self, b: int) -> tuple[Any, float, list]:
         """Shared-pointer extraction used by the co-located F instance:
         removes the bin's state *and* its pending records."""
-        mo = self.owner
+        bin_fn = self.owner.bin_fn
         payload, nbytes = self.logic.extract_bin(b)
-        keep, moved = Notificator(), []
-        for t, batch in self.notif.drain_all():
-            mask = mo.bin_fn(batch.data["k"]) == b
-            if mask.any():
-                moved.append((t, take_batch(batch, np.nonzero(mask)[0])))
+
+        def split(batches: list[Batch]) -> list[tuple]:
+            keys = [bt.data["k"] for bt in batches]
+            in_bin = bin_fn(np.concatenate(keys)) == b
+            ends = np.cumsum([len(k) for k in keys])
+            parts = []
+            for bt, mask in zip(batches, np.split(in_bin, ends[:-1])):
+                if not mask.any():
+                    parts.append((None, bt))
+                    continue
                 rest = np.nonzero(~mask)[0]
-                if len(rest):
-                    keep.notify_at(t, take_batch(batch, rest))
-            else:
-                keep.notify_at(t, batch)
-        self.notif = keep
+                kept = take_batch(bt, rest) if len(rest) else None
+                parts.append((take_batch(bt, np.nonzero(mask)[0]), kept))
+            return parts
+
+        moved = self.notif.split(split)
         # NOTE: sender-side state bytes are *not* released here — the
         # serialised copy queues on the NIC and the original allocation is
         # only returned once the transfer completes (this is the paper's

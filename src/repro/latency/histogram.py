@@ -31,18 +31,23 @@ class LatencyHistogram:
         self.max = 0.0
         self.total = 0
 
-    def _index(self, values: np.ndarray) -> np.ndarray:
-        v = np.clip(values, 1e-7, None)
+    @staticmethod
+    def index(values: np.ndarray) -> np.ndarray:
+        """Bin index of each latency (seconds), clamped to the end bins."""
+        v = np.maximum(values, 1e-7)
         idx = np.floor(
             (np.log10(v) - _MIN_EXP) * 10 * _BINS_PER_OCTAVE
         ).astype(np.int64)
-        return np.clip(idx, 0, _N_BINS + 1)
+        return np.minimum(np.maximum(idx, 0), _N_BINS + 1)
 
-    def record(self, latencies_s: np.ndarray) -> None:
+    def record(self, latencies_s: np.ndarray, idx: np.ndarray | None = None) -> None:
+        """Add latencies (seconds); ``idx`` is their precomputed :meth:`index`."""
         arr = np.asarray(latencies_s, dtype=np.float64)
         if arr.size == 0:
             return
-        self.counts += np.bincount(self._index(arr), minlength=_N_BINS + 2)
+        if idx is None:
+            idx = self.index(arr)
+        self.counts += np.bincount(idx, minlength=_N_BINS + 2)
         self.max = max(self.max, float(arr.max()))
         self.total += arr.size
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
-from repro.core.binning import bin_of_keys, hash_keys
+from repro.core.binning import bin_of_key, bin_of_keys, hash_keys
 from repro.core.harness import run_open_loop
 from repro.core.operators import StateLogic
 from repro.core.strategies import MigrationRecord, initial_assignment
@@ -112,7 +112,7 @@ class NexLogic(StateLogic):
         self._post: list[tuple[int, dict]] = []
 
     def bin_of(self, key: int) -> int:
-        return int(bin_of_keys(np.array([key]), self.q.n_bins)[0])
+        return bin_of_key(key, self.q.n_bins)
 
     def timer(self, t_ns: int, **cols) -> None:
         self._post.append((t_ns, payload(**cols, etype=[TIMER])))

@@ -18,6 +18,8 @@ Simulated time is float seconds. Each worker has a clock (``busy_until``);
 scheduling runs in ticks of ``cost.tick`` seconds. Cross-process messages
 queue on the sending process's NIC (bandwidth ``cost.nic_bw``), which is what
 produces both the all-at-once latency spike and its memory spike (paper §5.3.5).
+Latencies recorded during a tick are applied to ``Simulation.latency`` and
+the open ``latency_windows`` once, at the end of that tick.
 
 This is a simulation substrate: numbers it produces are governed by the
 calibrated :class:`repro.timely.cost.CostModel`, but the *data* flowing
@@ -26,11 +28,11 @@ against the DuckDB oracle.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,24 +76,29 @@ class Batch:
             return 1
 
 
-@dataclass(order=True)
-class _InFlight:
+class _InFlight(NamedTuple):
+    """Heap entry of a message in flight; ``seq`` is unique, so entries
+    order by (deliver_time, seq) and the batch is never compared."""
+
     deliver_time: float
     seq: int
-    dst_worker: int = field(compare=False)
-    batch: Batch = field(compare=False)
+    dst_worker: int
+    batch: Batch
 
 
 class _TimeSet:
-    """Multiset of logical times with O(log n) min (lazy-deletion heap)."""
+    """Multiset of logical times with O(log n) min (lazy-deletion heap); a
+    time is pushed when its count goes from 0 to 1."""
 
     def __init__(self) -> None:
-        self._counts: Counter = Counter()
+        self._counts: dict[int, int] = {}
         self._heap: list = []
 
     def add(self, t: int) -> None:
-        self._counts[t] += 1
-        heapq.heappush(self._heap, t)
+        c = self._counts.get(t, 0)
+        self._counts[t] = c + 1
+        if not c:
+            heapq.heappush(self._heap, t)
 
     def remove(self, t: int) -> None:
         c = self._counts[t] - 1
@@ -144,11 +151,12 @@ class Channel:
         self.undelivered.add(batch.time)
 
     def deliver_due(self, now: float) -> None:
-        while self.in_flight and self.in_flight[0].deliver_time <= now:
-            m = heapq.heappop(self.in_flight)
-            self.undelivered.remove(m.batch.time)
-            self.queued.add(m.batch.time)
-            self.queues[m.dst_worker].append(m.batch)
+        in_flight = self.in_flight
+        while in_flight and in_flight[0][0] <= now:
+            _, _, dst_worker, batch = heapq.heappop(in_flight)
+            self.undelivered.remove(batch.time)
+            self.queued.add(batch.time)
+            self.queues[dst_worker].append(batch)
 
     def take(self, worker: int) -> list[Batch]:
         got = self.queues[worker]
@@ -296,10 +304,8 @@ class Ctx:
         channel.send(dst_worker, batch, deliver, sim.next_seq())
 
     def record_latency(self, arrivals: np.ndarray) -> None:
-        lat = self.now - arrivals
-        self.sim.latency.record(lat)
-        for w in self.sim.latency_windows:
-            w.record(lat)
+        """Record ``now - arrivals``; applied to the histograms at tick end."""
+        self.sim.tick_latency.append(self.now - arrivals)
 
 
 class Simulation:
@@ -309,6 +315,9 @@ class Simulation:
     passes (two passes let a record traverse F then S within one tick)."""
 
     def __init__(self, cost: Optional[CostModel] = None, passes: int = 2):
+        # finished simulations are reference cycles: free them before this
+        # one grows, or back-to-back runs (sweeps) stack their peak memory
+        gc.collect()
         self.cost = cost or CostModel()
         self.workers = self.cost.workers
         self.passes = passes
@@ -323,6 +332,9 @@ class Simulation:
         self.channels: list[Channel] = []
         self.latency = LatencyHistogram()
         self.latency_windows: list[LatencyHistogram] = []
+        # latencies recorded during the current tick; windows open and close
+        # only in on_tick callbacks, so one flush per tick is exact
+        self.tick_latency: list[np.ndarray] = []
         self.total_cpu = 0.0
         self.tick_index = 0
         self._seq = itertools.count()
@@ -384,6 +396,13 @@ class Simulation:
                     if inst.schedule(ctx):
                         self.worker_busy[w] = ctx.now
         self.recompute_frontiers()
+        if self.tick_latency:
+            lat = np.concatenate(self.tick_latency)
+            self.tick_latency = []
+            idx = LatencyHistogram.index(lat)
+            self.latency.record(lat, idx)
+            for w in self.latency_windows:
+                w.record(lat, idx)
         if self.sample_memory:
             extra = np.array(
                 [nic.queued_bytes(t1) for nic in self.nics]

@@ -12,7 +12,7 @@ the work is done.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 
 class Notificator:
@@ -39,8 +39,20 @@ class Notificator:
             t, _, payload = heapq.heappop(self._heap)
             yield t, payload
 
+    def split(self, parts: Callable[[list], list[tuple]]) -> list[tuple[int, Any]]:
+        """Split all pending entries in one call (used when migrating a bin):
+        ``parts`` maps the payloads, in (time, seq) order, to one (moved,
+        kept) pair each, either may be None. Kept parts stay pending at their
+        (time, seq); moved parts are returned as (time, payload) in order."""
+        if not self._heap:
+            return []
+        self._heap.sort()  # a sorted list is a heap; seq is unique
+        pairs = list(zip(self._heap, parts([p for _, _, p in self._heap])))
+        self._heap = [(t, s, k) for (t, s, _), (_, k) in pairs if k is not None]
+        return [(t, m) for (t, _, _), (m, _) in pairs if m is not None]
+
     def drain_all(self) -> list[tuple[int, Any]]:
-        """Remove and return all pending entries (used when migrating a bin)."""
+        """Remove and return all pending entries in (time, seq) order."""
         out = [(t, p) for t, _, p in sorted(self._heap)]
         self._heap.clear()
         return out

@@ -1,8 +1,11 @@
 """Unit tests for the simulated timely runtime: channels, progress tracking,
 capabilities, probes, the NIC model and liveness."""
+import bisect
+
 import numpy as np
 import pytest
 
+from repro.latency.histogram import LatencyHistogram
 from repro.timely.cost import CostModel
 from repro.timely.engine import (
     Batch,
@@ -103,6 +106,34 @@ class TestTimeSet:
         ts.add(1)
         ts.add(1)
         assert len(ts) == 2
+
+    def test_readd_while_stale_entry_remains(self):
+        ts = _TimeSet()
+        ts.add(4)
+        ts.add(2)
+        ts.remove(2)  # the heap entry for 2 stays until min() pops it
+        ts.add(2)
+        assert ts.min() == 2
+        ts.remove(2)
+        assert ts.min() == 4
+
+    def test_min_matches_sorted_multiset(self):
+        rng = np.random.default_rng(0)
+        ts, model = _TimeSet(), []
+        for _ in range(3000):
+            if model and rng.random() < 0.5:
+                t = model.pop(int(rng.integers(len(model))))
+                ts.remove(t)
+            else:
+                t = int(rng.integers(0, 16))
+                bisect.insort(model, t)
+                ts.add(t)
+            # min() pops stale entries; calling it only sometimes lets
+            # removed and re-added times pile up in the heap
+            if rng.random() < 0.3:
+                assert ts.min() == (model[0] if model else None)
+        assert ts.min() == (model[0] if model else None)
+        assert len(ts) == len(model)
 
 
 class TestNic:
@@ -280,10 +311,14 @@ class TestLiveness:
         rec._ch = ch
         rec.op, rec.worker = op, 0
         op.instances[0] = rec
+        window = LatencyHistogram()
+        sim.latency_windows.append(window)
         inp.send(0, Batch(time=0, data=None))
         inp.advance_to(10)
         sim.step_tick()
+        # applied at the end of the tick, to the total and the open window
         assert sim.latency.total >= 1
+        assert window.total == sim.latency.total
 
     def test_memory_sampling(self):
         sim, inp, op, ch, insts = build_sim()

@@ -47,6 +47,28 @@ class TestLatencyHistogram:
         h.record(np.linspace(1e-4, 1e-2, 500))
         assert h.total == 500
 
+    def test_index_matches_clip_formula(self):
+        v = np.array([0.0, 1e-9, 1e-7, 3e-3, 0.5, 999.0, 1e3, 1e9])
+        ref = np.clip(np.floor((np.log10(np.clip(v, 1e-7, None)) + 7) * 10 * 8), 0, 801)
+        assert np.array_equal(LatencyHistogram.index(v), ref.astype(np.int64))
+
+    def test_record_once_with_index_equals_separate_records(self):
+        rng = np.random.default_rng(3)
+        parts = [
+            np.array([0.0, 5e-8, 1e-7]),
+            rng.exponential(2e-3, 500),
+            np.array([]),
+            np.array([2e3, 1e6]),
+        ]
+        separate, once = LatencyHistogram(), LatencyHistogram()
+        for p in parts:
+            separate.record(p)
+        lat = np.concatenate(parts)
+        once.record(lat, LatencyHistogram.index(lat))
+        assert np.array_equal(once.counts, separate.counts)
+        assert once.max == separate.max
+        assert once.total == separate.total
+
     def test_accuracy_against_numpy(self):
         h = LatencyHistogram()
         rng = np.random.default_rng(2)

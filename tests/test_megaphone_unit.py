@@ -7,11 +7,12 @@ import pytest
 
 from repro.core.binning import range_bin_of_keys
 from repro.core.control import ConfigAuthority, ControlUpdate
-from repro.core.operators import MigratableOperator
+from repro.core.operators import MigratableOperator, take_batch
 from repro.core.strategies import initial_assignment
 from repro.microbench.count import CountLogic
 from repro.timely.cost import CostModel
 from repro.timely.engine import Batch, InputHandle, Simulation
+from repro.timely.notificator import Notificator
 
 W, BINS, DOMAIN = 4, 16, 1024
 MS = 1_000_000  # ns per tick at tick=1ms
@@ -192,3 +193,55 @@ class TestPendingRecordsMigrate:
         assert r.owner_of_bin(0) == [1]
         assert r.logics[1].counts[0] == 1  # applied at the new owner
         assert r.total_counts() == 1
+
+    def test_extraction_matches_drain_and_renotify(self):
+        """``uninstall_bin`` against the per-batch drain-and-renotify it
+        replaced: batches mixing bins, batches wholly in the moved bin and
+        timer batches (no arrivals), at repeated times."""
+        r = Rig()
+        s_inst = r.mo.s_op.instances[0]
+        b = min(r.logics[0].owned)
+        lo = b * (DOMAIN // BINS)
+
+        def fill(notif):
+            rng = np.random.default_rng(1)
+            for i in range(30):
+                t = int(rng.integers(5, 12)) * MS
+                if i % 5 == 0:  # wholly in the moved bin
+                    keys = lo + rng.integers(0, DOMAIN // BINS, 4)
+                else:
+                    keys = rng.integers(0, DOMAIN, 1 + i % 7)
+                arrivals = None if i % 4 == 1 else rng.random(len(keys))
+                notif.notify_at(t, Batch(time=t, data={"k": keys}, arrivals=arrivals))
+
+        def reference(notif):
+            keep, moved = Notificator(), []
+            for t, batch in notif.drain_all():
+                mask = r.mo.bin_fn(batch.data["k"]) == b
+                if mask.any():
+                    moved.append((t, take_batch(batch, np.nonzero(mask)[0])))
+                    rest = np.nonzero(~mask)[0]
+                    if len(rest):
+                        keep.notify_at(t, take_batch(batch, rest))
+                else:
+                    keep.notify_at(t, batch)
+            return keep, moved
+
+        fill(s_inst.notif)
+        ref = Notificator()
+        fill(ref)
+        ref, ref_moved = reference(ref)
+        _, _, moved = s_inst.uninstall_bin(b)
+        for n in (s_inst.notif, ref):
+            n.notify_at(8 * MS, Batch(time=8 * MS, data={"k": np.array([lo])}))
+
+        def flat(entries):
+            out = []
+            for t, bt in entries:
+                arr = None if bt.arrivals is None else bt.arrivals.tolist()
+                out.append((t, bt.data["k"].tolist(), arr))
+            return out
+
+        assert any(len(bt.data["k"]) == 4 for _, bt in moved)
+        assert flat(moved) == flat(ref_moved)
+        assert flat(s_inst.notif.ripe(None)) == flat(ref.ripe(None))
