@@ -21,6 +21,10 @@ def main(quick: bool = False):
     spark = (
         SparkSession.builder.appName("repro-spark-engine")
         .config("spark.sql.shuffle.partitions", "8")
+        .config("spark.ui.showConsoleProgress", "false")
+        # without Arrow, createDataFrame converts each batch row by row in
+        # Python, which alone took ~6 s of a 200k-record batch
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .getOrCreate()
     )
     rows = []

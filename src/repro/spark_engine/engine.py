@@ -5,19 +5,25 @@ layering): the paper's contribution is a runtime state-migration mechanism,
 so it is expressed as DataFrame→DataFrame transformations rather than a
 Catalyst rule:
 
-* **State** is a Spark DataFrame ``(worker, bin, key, cnt)`` persisted and
-  hash-partitioned by ``worker`` — the stand-in for per-executor state
-  stores.
-* **Routing** is the configuration function ``bin -> worker`` (a numpy
-  table, broadcast to the plan as a small dimension DataFrame each batch) —
-  Megaphone's F operator.
+* **State** is a Spark DataFrame ``(worker, bin, key, cnt)``
+  hash-partitioned by ``worker`` and held as a local checkpoint — the
+  stand-in for per-executor state stores.
+* **Routing** is the configuration function ``bin -> worker``, a numpy
+  table on the driver — Megaphone's F operator. Input rows are routed in
+  pandas before they reach Spark; moved state rows are routed by a literal
+  array-lookup expression, so no routing DataFrame or join is built.
 * **A micro-batch** pre-aggregates the input per (bin, key), routes it by
-  the current configuration, and merges it into the state (S + L).
+  the current configuration, and merges it into the state (S + L) with a
+  single exchange on ``worker``; the eager local checkpoint of the new
+  state is the batch's one Spark action.
 * **A migration step** rewrites the routing for a subset of bins and
   physically moves exactly those bins' state rows through a
-  ``repartition(worker)`` shuffle, materialised before the batch's data
-  processing — all-at-once ships every moved bin in one batch, fluid one
-  bin per batch.
+  ``repartition(worker)`` shuffle, materialised (one action, which also
+  counts them) before the batch's data processing — all-at-once ships
+  every moved bin in one batch, fluid one bin per batch.
+
+Nothing is registered in Spark's cache manager: Spark's context cleaner
+frees a superseded checkpoint once the JVM has garbage-collected it.
 
 Wall-clock time per micro-batch is the observed service latency; the
 strategies differ only in how many bins each batch moves, which is the
@@ -46,7 +52,6 @@ class SparkMigratableCount:
         *,
         n_workers: int = 8,
         n_bins: int = 64,
-        checkpoint_every: int = 1,
     ):
         assert n_bins % n_workers == 0 or n_bins >= n_workers
         self.spark = spark
@@ -54,20 +59,17 @@ class SparkMigratableCount:
         self.n_bins = n_bins
         self.routing = np.arange(n_bins, dtype=np.int64) % n_workers
         self.state: Optional[DataFrame] = None
-        self.checkpoint_every = checkpoint_every
-        self.batches = 0
 
     # -- routing -----------------------------------------------------------
-    def _routing_df(self) -> DataFrame:
-        pdf = pd.DataFrame(
-            {"bin": np.arange(self.n_bins), "worker": self.routing}
-        )
-        return F.broadcast(self.spark.createDataFrame(pdf))
-
     def set_routing(self, moves: list[tuple[int, int]]) -> None:
         for b, w in moves:
             assert 0 <= w < self.n_workers
             self.routing[b] = w
+
+    def _worker_of_bin(self):
+        """``routing[bin]`` as a column expression (1-based array lookup)."""
+        table = F.array(*[F.lit(int(w)) for w in self.routing])
+        return F.element_at(table, (F.col("bin") + 1).cast("int")).cast("long")
 
     # -- state movement (Megaphone's F extracting + reshipping bins) -------
     def migrate(self, moves: list[tuple[int, int]]) -> dict:
@@ -84,17 +86,12 @@ class SparkMigratableCount:
         is_moved = F.col("bin").isin(moved_bins)
         moved = (
             self.state.filter(is_moved)
-            .drop("worker")
-            .join(self._routing_df(), "bin")
-            .select("worker", "bin", "key", "cnt")
+            .select(self._worker_of_bin().alias("worker"), "bin", "key", "cnt")
             .repartition(self.n_workers, "worker")
-            .persist()
+            .localCheckpoint(eager=False)
         )
         moved_rows = moved.count()  # materialise the physical transfer
-        kept = self.state.filter(~is_moved)
-        old = self.state
-        self.state = kept.unionByName(moved)
-        old.unpersist()
+        self.state = self.state.filter(~is_moved).unionByName(moved)
         return {"moved_rows": moved_rows, "moved_bins": len(moved_bins)}
 
     # -- data path ---------------------------------------------------------
@@ -103,8 +100,8 @@ class SparkMigratableCount:
     ) -> dict:
         """One micro-batch: optional migration step, then state update.
 
-        Returns wall-clock metrics: total batch seconds, migration seconds,
-        rows moved, and resulting state rows.
+        Returns wall-clock metrics: total batch seconds, migration seconds
+        and rows moved.
         """
         t0 = time.perf_counter()
         mig = self.migrate(moves or [])
@@ -116,33 +113,23 @@ class SparkMigratableCount:
             .groupby(["bin", "key"], as_index=False)
             .size()
             .rename(columns={"size": "cnt"})
+            .assign(worker=lambda d: self.routing[d["bin"].to_numpy()])
         )
-        updates = (
-            self.spark.createDataFrame(upd_pdf[["bin", "key", "cnt"]])
-            .join(self._routing_df(), "bin")
-            .select("worker", "bin", "key", "cnt")
-        )
+        updates = self.spark.createDataFrame(upd_pdf[["worker", "bin", "key", "cnt"]])
         merged = self.state.unionByName(updates) if self.state is not None else updates
-        new_state = (
-            merged.groupBy("worker", "bin", "key")
+        # hash partitioning on worker satisfies the aggregate's clustering on
+        # (worker, bin, key), so this is the batch's only exchange
+        self.state = (
+            merged.repartition(self.n_workers, "worker")
+            .groupBy("worker", "bin", "key")
             .agg(F.sum("cnt").alias("cnt"))
-            .repartition(self.n_workers, "worker")
-            .persist()
+            .localCheckpoint(eager=True)
         )
-        self.batches += 1
-        if self.batches % self.checkpoint_every == 0:
-            new_state = new_state.localCheckpoint(eager=True)
-        state_rows = new_state.count()
-        old = self.state
-        self.state = new_state
-        if old is not None:
-            old.unpersist()
         return {
             "batch_s": time.perf_counter() - t0,
             "migration_s": t_mig,
             "moved_rows": mig["moved_rows"],
             "moved_bins": mig["moved_bins"],
-            "state_rows": state_rows,
         }
 
     # -- inspection --------------------------------------------------------

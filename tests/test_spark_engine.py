@@ -110,6 +110,28 @@ class TestMovementAccounting:
         m = eng.process_batch(rng.integers(0, 2_000, 100), moves=moves)
         assert m["moved_rows"] == expected_rows
 
+    def test_new_keys_in_moving_bins_follow_new_routing(self, spark):
+        """A batch that moves bins and also brings new keys for them: right
+        after it, every row sits on its bin's new worker and no count is
+        lost or doubled."""
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        rng = np.random.default_rng(5)
+        first = rng.integers(0, 2_000, 4_000)
+        eng.process_batch(first)
+        moves = migration_moves(16, 4)
+        moved_bins = [b for b, _ in moves]
+        fresh = np.arange(2_000, 4_000)
+        fresh = fresh[np.isin(bin_of_keys(fresh, 16), moved_bins)]
+        second = np.concatenate([rng.integers(0, 2_000, 1_000), fresh])
+        eng.process_batch(second, moves=moves)
+        placement = eng.placement_pandas()
+        assert set(moved_bins) <= set(placement.bin)
+        for _, row in placement.iterrows():
+            assert row.worker == eng.routing[row.bin]
+        got = eng.counts_pandas()
+        exp = pd.Series(np.concatenate([first, second])).value_counts()
+        assert dict(zip(got.key, got.cnt)) == exp.to_dict()
+
     def test_all_at_once_moves_everything_in_one_batch(self, spark):
         res = migration_timeline(
             spark,
@@ -141,3 +163,19 @@ class TestMovementAccounting:
             m["moved_bins"] for m in res["timeline"] if m["migrating"]
         }
         assert per_batch_bins == {1}
+
+
+class TestSparkResources:
+    def test_no_plan_left_in_cache_manager(self, spark):
+        """Batches and migration steps register nothing in Spark's cache
+        manager, so superseded states cannot pile up there."""
+        spark.catalog.clearCache()
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        moves = migration_moves(16, 4)
+        feed(
+            eng,
+            np.random.default_rng(6),
+            batches=6,
+            moves_at={2: moves[:1], 4: moves[1:]},
+        )
+        assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
