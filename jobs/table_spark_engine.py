@@ -49,7 +49,6 @@ def main(quick: bool = False):
                 "baseline_batch_s": res["baseline_s"],
                 "peak_batch_s": res["peak_batch_s"],
                 "spike_s": res["spike_s"],
-                "max_step_s": res["max_step_s"],
                 "total_migration_s": res["total_migration_s"],
                 "migration_batches": res["migration_batches"],
                 "moved_rows": res["moved_rows_total"],
@@ -61,7 +60,6 @@ def main(quick: bool = False):
         "baseline_batch_s",
         "peak_batch_s",
         "spike_s",
-        "max_step_s",
         "total_migration_s",
         "migration_batches",
         "moved_rows",

@@ -7,20 +7,30 @@ Catalyst rule:
 
 * **State** is a Spark DataFrame ``(worker, bin, key, cnt)``
   hash-partitioned by ``worker`` and held as a local checkpoint — the
-  stand-in for per-executor state stores.
+  stand-in for per-executor state stores. It stays where it is: a batch
+  reads it in place and exchanges only its own rows and the moved rows.
 * **Routing** is the configuration function ``bin -> worker``, a numpy
   table on the driver — Megaphone's F operator. Input rows are routed in
   pandas before they reach Spark; moved state rows are routed by a literal
   array-lookup expression, so no routing DataFrame or join is built.
 * **A micro-batch** pre-aggregates the input per (bin, key), routes it by
-  the current configuration, and merges it into the state (S + L) with a
-  single exchange on ``worker``; the eager local checkpoint of the new
-  state is the batch's one Spark action.
+  the current configuration and merges it into the state (S + L). It is
+  one Spark job: the batch's rows and the moved rows share one exchange on
+  ``worker``, the kept state is unioned in unshuffled, and the eager local
+  checkpoint of the aggregate is the batch's one action.
 * **A migration step** rewrites the routing for a subset of bins and
-  physically moves exactly those bins' state rows through a
-  ``repartition(worker)`` shuffle, materialised (one action, which also
-  counts them) before the batch's data processing — all-at-once ships
-  every moved bin in one batch, fluid one bin per batch.
+  splits the state into the kept rows and those bins' rows, re-routed to
+  their new workers. It runs no action of its own: the moved rows travel
+  in their batch's exchange, next to that batch's records, as Megaphone
+  ships a bin's state at the configuration's time — all-at-once ships
+  every moved bin in one batch, fluid one bin per batch. The moved rows
+  are counted by a ``DataFrame.observe`` metric as the job runs, and both
+  the moved bins and their new workers are array-literal lookups, so a
+  step compiles no new code.
+* **Scoped AQE.** The checkpoint runs with adaptive query execution off,
+  so it records ``hashpartitioning(worker, n_workers)`` (with AQE on it
+  records unknown partitioning) and the next batch need not reshuffle the
+  state; the caller's setting is restored afterwards.
 
 Nothing is registered in Spark's cache manager: Spark's context cleaner
 frees a superseded checkpoint once the JVM has garbage-collected it.
@@ -38,9 +48,11 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, Observation, SparkSession
 
 from repro.core.binning import bin_of_keys
+
+_AQE = "spark.sql.adaptive.enabled"
 
 
 class SparkMigratableCount:
@@ -66,47 +78,56 @@ class SparkMigratableCount:
             assert 0 <= w < self.n_workers
             self.routing[b] = w
 
-    def _worker_of_bin(self):
-        """``routing[bin]`` as a column expression (1-based array lookup)."""
-        table = F.array(*[F.lit(int(w)) for w in self.routing])
-        return F.element_at(table, (F.col("bin") + 1).cast("int")).cast("long")
+    @staticmethod
+    def _lookup(table: np.ndarray):
+        """``table[bin]`` as a column expression: ``element_at`` over one
+        array literal, parsed from one SQL string (one py4j call, not one
+        per element). Generated code takes an array literal by reference,
+        so a migration step compiles no new code; an ``isin`` of the moved
+        bins would be inlined and compiled anew for every step."""
+        items = ", ".join(map(str, table.tolist()))
+        return F.expr(f"element_at(array({items}), CAST(bin + 1 AS INT))")
 
     # -- state movement (Megaphone's F extracting + reshipping bins) -------
     def migrate(self, moves: list[tuple[int, int]]) -> dict:
-        """Move the state of ``moves``' bins to their new workers.
+        """Route ``moves``' bins to their new workers and split the state.
 
-        Only the moved bins' rows are extracted, re-routed and re-shuffled;
-        untouched state stays in place. Returns movement metrics.
+        Runs no Spark action: returns the plan pieces the batch's one job
+        merges. ``kept`` is the state of every other bin, left in place;
+        ``moved`` is the moved bins' rows re-routed to their new workers,
+        still to be exchanged, counted by ``observed`` as the job runs. A
+        move to a bin's current owner moves nothing.
         """
-        if not moves or self.state is None:
-            self.set_routing(moves or [])
-            return {"moved_rows": 0, "moved_bins": 0}
-        moved_bins = [int(b) for b, _ in moves]
+        before = self.routing.copy()
         self.set_routing(moves)
-        is_moved = F.col("bin").isin(moved_bins)
+        moved_bins = self.routing != before
+        if not moved_bins.any() or self.state is None:
+            return {"kept": self.state, "moved": None, "observed": None, "moved_bins": 0}
+        is_moved = self._lookup(moved_bins)
+        observed = Observation()
         moved = (
             self.state.filter(is_moved)
-            .select(self._worker_of_bin().alias("worker"), "bin", "key", "cnt")
-            .repartition(self.n_workers, "worker")
-            .localCheckpoint(eager=False)
+            .select(self._lookup(self.routing).cast("long").alias("worker"), "bin", "key", "cnt")
+            .observe(observed, F.count(F.lit(1)).alias("rows"))
         )
-        moved_rows = moved.count()  # materialise the physical transfer
-        self.state = self.state.filter(~is_moved).unionByName(moved)
-        return {"moved_rows": moved_rows, "moved_bins": len(moved_bins)}
+        return {
+            "kept": self.state.filter(~is_moved),
+            "moved": moved,
+            "observed": observed,
+            "moved_bins": int(moved_bins.sum()),
+        }
 
     # -- data path ---------------------------------------------------------
     def process_batch(
         self, keys: np.ndarray, moves: Optional[list[tuple[int, int]]] = None
     ) -> dict:
-        """One micro-batch: optional migration step, then state update.
+        """One micro-batch: optional migration step and state update, as one
+        Spark job.
 
-        Returns wall-clock metrics: total batch seconds, migration seconds
-        and rows moved.
+        Returns wall-clock seconds for the batch and the rows and bins moved.
         """
         t0 = time.perf_counter()
         mig = self.migrate(moves or [])
-        t_mig = time.perf_counter() - t0
-
         upd_pdf = (
             pd.DataFrame({"key": keys})
             .assign(bin=lambda d: bin_of_keys(d.key.to_numpy(), self.n_bins))
@@ -115,22 +136,41 @@ class SparkMigratableCount:
             .rename(columns={"size": "cnt"})
             .assign(worker=lambda d: self.routing[d["bin"].to_numpy()])
         )
-        updates = self.spark.createDataFrame(upd_pdf[["worker", "bin", "key", "cnt"]])
-        merged = self.state.unionByName(updates) if self.state is not None else updates
-        # hash partitioning on worker satisfies the aggregate's clustering on
-        # (worker, bin, key), so this is the batch's only exchange
-        self.state = (
-            merged.repartition(self.n_workers, "worker")
-            .groupBy("worker", "bin", "key")
-            .agg(F.sum("cnt").alias("cnt"))
-            .localCheckpoint(eager=True)
+        shipped = self.spark.createDataFrame(upd_pdf[["worker", "bin", "key", "cnt"]])
+        if mig["moved"] is not None:
+            shipped = mig["moved"].unionByName(shipped)
+        # the batch's only exchange: the batch's rows and the moved rows; the
+        # kept state is already hash-partitioned on worker, which satisfies
+        # the aggregate's clustering on (worker, bin, key)
+        merged = shipped.repartition(self.n_workers, "worker")
+        if mig["kept"] is not None:
+            merged = mig["kept"].unionByName(merged)
+        self.state = self._checkpoint(
+            merged.groupBy("worker", "bin", "key").agg(F.sum("cnt").alias("cnt"))
         )
+        observed = mig["observed"]
+        moved_rows = observed.get["rows"] if observed is not None else 0
         return {
             "batch_s": time.perf_counter() - t0,
-            "migration_s": t_mig,
-            "moved_rows": mig["moved_rows"],
+            "moved_rows": moved_rows,
             "moved_bins": mig["moved_bins"],
         }
+
+    def _checkpoint(self, df: DataFrame) -> DataFrame:
+        """Materialise ``df`` as an eager local checkpoint with AQE off.
+
+        With AQE on, the checkpoint records unknown partitioning and the next
+        batch would reshuffle the whole state; with it off, it records
+        hashpartitioning(worker, n_workers), which the next batch's union
+        passes through. The caller's setting is restored afterwards.
+        """
+        conf = self.spark.conf
+        aqe = conf.get(_AQE)
+        conf.set(_AQE, "false")
+        try:
+            return df.localCheckpoint(eager=True)
+        finally:
+            conf.set(_AQE, aqe)
 
     # -- inspection --------------------------------------------------------
     def counts_pandas(self) -> pd.DataFrame:

@@ -51,11 +51,5 @@ class Notificator:
         self._heap = [(t, s, k) for (t, s, _), (_, k) in pairs if k is not None]
         return [(t, m) for (t, _, _), (m, _) in pairs if m is not None]
 
-    def drain_all(self) -> list[tuple[int, Any]]:
-        """Remove and return all pending entries in (time, seq) order."""
-        out = [(t, p) for t, _, p in sorted(self._heap)]
-        self._heap.clear()
-        return out
-
     def __len__(self) -> int:
         return len(self._heap)

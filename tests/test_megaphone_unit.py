@@ -216,7 +216,7 @@ class TestPendingRecordsMigrate:
 
         def reference(notif):
             keep, moved = Notificator(), []
-            for t, batch in notif.drain_all():
+            for t, batch in list(notif.ripe(None)):
                 mask = r.mo.bin_fn(batch.data["k"]) == b
                 if mask.any():
                     moved.append((t, take_batch(batch, np.nonzero(mask)[0])))

@@ -37,13 +37,13 @@ class TestNotificator:
         n.notify_at(7, "y")
         n.notify_at(3, "z")
         assert n.min_time() == 3
-        assert [t for t, _ in n.drain_all()] == [3, 7, 7]
+        assert [t for t, _ in n.ripe(None)] == [3, 7, 7]
 
     def test_drain_all(self):
         n = Notificator()
         n.notify_at(9, "a")
         n.notify_at(4, "b")
-        assert n.drain_all() == [(4, "b"), (9, "a")]
+        assert list(n.ripe(None)) == [(4, "b"), (9, "a")]
         assert len(n) == 0
 
     def test_exact_frontier_not_ripe(self):
@@ -60,7 +60,7 @@ class TestNotificator:
             n.notify_at(t, t)
         ripe = [t for t, _ in n.ripe(frontier)]
         assert ripe == sorted(t for t in times if t < frontier)
-        assert [t for t, _ in n.drain_all()] == sorted(t for t in times if t >= frontier)
+        assert [t for t, _ in n.ripe(None)] == sorted(t for t in times if t >= frontier)
 
     @given(st.lists(st.integers(0, 20), max_size=40))
     def test_split_keeps_time_seq_order(self, times):

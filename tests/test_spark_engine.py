@@ -1,5 +1,9 @@
 """Spark micro-batch engine with migratable state: correctness under every
-migration strategy (DuckDB oracle) and placement (Migration property)."""
+migration strategy (DuckDB oracle) and placement (Migration property), the
+plan that leaves the state in place, and movement accounting."""
+import re
+import threading
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,6 +13,8 @@ from repro.core.strategies import migration_moves
 from repro.oracle import assert_equivalent
 from repro.spark_engine.engine import SparkMigratableCount
 from repro.spark_engine.experiment import migration_timeline
+
+AQE = "spark.sql.adaptive.enabled"
 
 
 def feed(eng, rng, n_keys=5_000, batches=3, per_batch=8_000, moves_at=None):
@@ -179,3 +185,181 @@ class TestSparkResources:
             moves_at={2: moves[:1], 4: moves[1:]},
         )
         assert spark._jsparkSession.sharedState().cacheManager().isEmpty()
+
+
+# -- the state stays in place; a batch is one Spark job --------------------
+def state_partitioning(eng) -> str:
+    return eng.state._jdf.queryExecution().executedPlan().outputPartitioning().toString()
+
+
+def executions_after(spark, last_id: int) -> list:
+    """SQL executions with an id above ``last_id``, from Spark's SQL status
+    store (kept with the UI off), once the listener bus has caught up."""
+    spark.sparkContext._jsc.sc().listenerBus().waitUntilEmpty()
+    execs = spark._jsparkSession.sharedState().statusStore().executionsList()
+    found = [execs.apply(i) for i in range(execs.size())]
+    return sorted(
+        (e for e in found if e.executionId() > last_id), key=lambda e: e.executionId()
+    )
+
+
+def last_execution_id(spark) -> int:
+    return max((e.executionId() for e in executions_after(spark, -1)), default=-1)
+
+
+def plan_tree(plan: str) -> list[tuple[int, str]]:
+    """(depth, node) per line of a formatted physical plan's tree; depth is
+    the column of the ``+-``/``:-`` marker, -1 for the root."""
+    out = []
+    for line in plan.split("\n\n")[0].splitlines()[1:]:
+        marker = re.search(r"[+:]- ", line)
+        node = line[marker.end() if marker else 0 :].lstrip("* ")
+        out.append((marker.start() if marker else -1, node))
+    return out
+
+
+def below_exchanges(tree: list[tuple[int, str]]) -> list[str]:
+    """Nodes in the subtree of any Exchange."""
+    below = []
+    for i, (depth, node) in enumerate(tree):
+        if node.startswith("Exchange"):
+            for d, n in tree[i + 1 :]:
+                if d <= depth:
+                    break
+                below.append(n)
+    return below
+
+
+def batch_plan(spark, eng, keys, moves=None) -> list[tuple[int, str]]:
+    """Run one batch; assert it was one SQL execution of one Spark job and
+    return that execution's plan tree."""
+    last = last_execution_id(spark)
+    eng.process_batch(keys, moves=moves)
+    (execution,) = executions_after(spark, last)
+    assert execution.jobs().size() == 1
+    return plan_tree(execution.physicalPlanDescription())
+
+
+class TestStateStaysInPlace:
+    def test_state_hash_partitioned_on_worker(self, spark):
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        rng = np.random.default_rng(11)
+        hashed = r"hashpartitioning\(worker#\d+L?, 4\)"
+        eng.process_batch(rng.integers(0, 2_000, 4_000))
+        assert re.fullmatch(hashed, state_partitioning(eng))
+        eng.process_batch(rng.integers(0, 2_000, 4_000), moves=migration_moves(16, 4))
+        assert re.fullmatch(hashed, state_partitioning(eng))
+
+    def test_next_batch_does_not_exchange_state(self, spark):
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        rng = np.random.default_rng(12)
+        eng.process_batch(rng.integers(0, 2_000, 4_000))
+        steady = batch_plan(spark, eng, rng.integers(0, 2_000, 1_000))
+        nodes = [n for _, n in steady]
+        assert sum(n.startswith("Exchange") for n in nodes) == 1
+        assert any(n.startswith("Scan ExistingRDD") for n in nodes)
+        assert not any(n.startswith("Scan ExistingRDD") for n in below_exchanges(steady))
+        # a migrating batch: the moved rows share the batch's one exchange,
+        # the kept state is still read in place
+        migrating = batch_plan(
+            spark, eng, rng.integers(0, 2_000, 1_000), moves=migration_moves(16, 4)[:1]
+        )
+        nodes = [n for _, n in migrating]
+        scans = [n for n in nodes if n.startswith("Scan ExistingRDD")]
+        shipped = [n for n in below_exchanges(migrating) if n.startswith("Scan ExistingRDD")]
+        assert sum(n.startswith("Exchange") for n in nodes) == 1
+        assert len(scans) == 2 and len(shipped) == 1
+
+
+    def test_migration_step_compiles_no_new_code(self, spark):
+        """After the first steps, a step that moves other bins reuses the
+        generated code: the moved bins are not inlined into it."""
+        compile_time = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        rng = np.random.default_rng(16)
+        eng.process_batch(rng.integers(0, 2_000, 4_000))
+        for b in (0, 1):
+            eng.process_batch(rng.integers(0, 2_000, 500), moves=[(b, (b + 1) % 4)])
+        compiled = compile_time.METRIC_COMPILATION_TIME().getCount()
+        for b in (2, 3, 4):
+            eng.process_batch(rng.integers(0, 2_000, 500), moves=[(b, (b + 1) % 4)])
+        assert compile_time.METRIC_COMPILATION_TIME().getCount() == compiled
+
+
+class TestAqeScope:
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_caller_setting_kept(self, spark, value):
+        before = spark.conf.get(AQE)
+        spark.conf.set(AQE, value)
+        try:
+            eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+            rng = np.random.default_rng(13)
+            eng.process_batch(rng.integers(0, 2_000, 4_000))
+            assert spark.conf.get(AQE) == value
+            eng.process_batch(rng.integers(0, 2_000, 1_000), moves=migration_moves(16, 4))
+            assert spark.conf.get(AQE) == value
+        finally:
+            spark.conf.set(AQE, before)
+
+    @pytest.mark.parametrize("value", ["true", "false"])
+    def test_caller_setting_kept_when_action_raises(self, spark, monkeypatch, value):
+        def fail(self, eager=True):
+            raise RuntimeError("checkpoint failed")
+
+        before = spark.conf.get(AQE)
+        spark.conf.set(AQE, value)
+        try:
+            eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+            monkeypatch.setattr(type(spark.range(1)), "localCheckpoint", fail)
+            with pytest.raises(RuntimeError, match="checkpoint failed"):
+                eng.process_batch(np.arange(100))
+            assert spark.conf.get(AQE) == value
+        finally:
+            spark.conf.set(AQE, before)
+
+
+class TestMovedRowsAtTheEdges:
+    def test_all_at_once_moves_every_bin(self, spark):
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        rng = np.random.default_rng(14)
+        first = rng.integers(0, 3_000, 6_000)
+        eng.process_batch(first)
+        moves = [(b, (b + 1) % 4) for b in range(16)]
+        second = rng.integers(0, 3_000, 500)
+        m = eng.process_batch(second, moves=moves)
+        assert m["moved_bins"] == 16
+        assert m["moved_rows"] == len(np.unique(first))
+        got = eng.counts_pandas()
+        exp = pd.Series(np.concatenate([first, second])).value_counts()
+        assert dict(zip(got.key, got.cnt)) == exp.to_dict()
+        placement = eng.placement_pandas()
+        assert (placement.worker.to_numpy() == eng.routing[placement.bin.to_numpy()]).all()
+
+    def test_move_to_current_owner_moves_nothing(self, spark):
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        rng = np.random.default_rng(15)
+        first = rng.integers(0, 3_000, 6_000)
+        eng.process_batch(first)
+        second = rng.integers(0, 3_000, 100)
+        m = eng.process_batch(second, moves=[(5, 1)])
+        assert m["moved_rows"] == 0 and m["moved_bins"] == 0
+        bins = bin_of_keys(np.unique(np.concatenate([first, second])), 16)
+        m = eng.process_batch(rng.integers(0, 3_000, 100), moves=[(5, 1), (6, 0)])
+        assert m["moved_bins"] == 1
+        assert m["moved_rows"] == int((bins == 6).sum())
+
+    def test_empty_bin_moves_zero_rows_without_waiting(self, spark):
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        keys = np.arange(3_000)
+        keys = keys[bin_of_keys(keys, 16) != 3]
+        eng.process_batch(keys)
+        out = {}
+        batch = threading.Thread(
+            target=lambda: out.update(eng.process_batch(keys[:100], moves=[(3, 0)])),
+            daemon=True,
+        )
+        batch.start()
+        batch.join(timeout=300)
+        assert not batch.is_alive(), "the batch waited on its moved-row count"
+        assert out["moved_rows"] == 0 and out["moved_bins"] == 1
+        assert eng.routing[3] == 0
