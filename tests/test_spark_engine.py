@@ -15,6 +15,7 @@ from repro.spark_engine.engine import SparkMigratableCount
 from repro.spark_engine.experiment import migration_timeline
 
 AQE = "spark.sql.adaptive.enabled"
+LOCAL_RELATION = "spark.sql.execution.arrow.localRelationThreshold"
 
 
 def feed(eng, rng, n_keys=5_000, batches=3, per_batch=8_000, moves_at=None):
@@ -232,12 +233,26 @@ def below_exchanges(tree: list[tuple[int, str]]) -> list[str]:
 
 def batch_plan(spark, eng, keys, moves=None) -> list[tuple[int, str]]:
     """Run one batch; assert it was one SQL execution of one Spark job and
-    return that execution's plan tree."""
+    return that execution's plan tree, with every scan of the state (the
+    checkpoint the batch started from) renamed ``STATE``."""
+    state_rdd = eng.state._jdf.queryExecution().analyzed().rdd().id()
     last = last_execution_id(spark)
     eng.process_batch(keys, moves=moves)
     (execution,) = executions_after(spark, last)
     assert execution.jobs().size() == 1
-    return plan_tree(execution.physicalPlanDescription())
+    plan = execution.physicalPlanDescription()
+    # a scan's details name the RDD it reads; the batch's own rows are also
+    # a ``Scan ExistingRDD``, over another RDD. Attribute ids do not tell
+    # the scans apart: a state read twice gets fresh ids in its second read.
+    reads_state = {
+        block.split(maxsplit=1)[0]
+        for block in plan.split("\n\n")[1:]
+        if re.search(rf"RDD\[{state_rdd}\] ", block)
+    }
+    return [
+        (d, "STATE" if n.startswith("Scan") and n.rsplit(" ", 1)[-1] in reads_state else n)
+        for d, n in plan_tree(plan)
+    ]
 
 
 class TestStateStaysInPlace:
@@ -257,18 +272,27 @@ class TestStateStaysInPlace:
         steady = batch_plan(spark, eng, rng.integers(0, 2_000, 1_000))
         nodes = [n for _, n in steady]
         assert sum(n.startswith("Exchange") for n in nodes) == 1
-        assert any(n.startswith("Scan ExistingRDD") for n in nodes)
-        assert not any(n.startswith("Scan ExistingRDD") for n in below_exchanges(steady))
+        assert "STATE" in nodes
+        assert "STATE" not in below_exchanges(steady)
         # a migrating batch: the moved rows share the batch's one exchange,
         # the kept state is still read in place
         migrating = batch_plan(
             spark, eng, rng.integers(0, 2_000, 1_000), moves=migration_moves(16, 4)[:1]
         )
         nodes = [n for _, n in migrating]
-        scans = [n for n in nodes if n.startswith("Scan ExistingRDD")]
-        shipped = [n for n in below_exchanges(migrating) if n.startswith("Scan ExistingRDD")]
+        shipped = [n for n in below_exchanges(migrating) if n == "STATE"]
         assert sum(n.startswith("Exchange") for n in nodes) == 1
-        assert len(scans) == 2 and len(shipped) == 1
+        assert nodes.count("STATE") == 2 and len(shipped) == 1
+
+    def test_batch_rows_are_not_a_local_relation(self, spark):
+        """The batch's rows enter as an RDD of Arrow batches, not as a
+        local relation whose rows are part of the plan."""
+        eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
+        rng = np.random.default_rng(17)
+        eng.process_batch(rng.integers(0, 2_000, 4_000))
+        for moves in (None, migration_moves(16, 4)[:1]):
+            nodes = [n for _, n in batch_plan(spark, eng, rng.integers(0, 2_000, 1_000), moves)]
+            assert not any(n.startswith("LocalTableScan") for n in nodes)
 
 
     def test_migration_step_compiles_no_new_code(self, spark):
@@ -286,36 +310,48 @@ class TestStateStaysInPlace:
         assert compile_time.METRIC_COMPILATION_TIME().getCount() == compiled
 
 
+# each session conf the engine sets around one call, with the call
+# (``DataFrame.localCheckpoint`` or ``SparkSession.createDataFrame``) and a
+# caller's value it must keep
+SCOPED = [
+    pytest.param(AQE, "localCheckpoint", "true", id="true"),
+    pytest.param(AQE, "localCheckpoint", "false", id="false"),
+    pytest.param(LOCAL_RELATION, "createDataFrame", "1048576", id="threshold-1048576"),
+    pytest.param(LOCAL_RELATION, "createDataFrame", "64MB", id="threshold-64MB"),
+]
+
+
 class TestAqeScope:
-    @pytest.mark.parametrize("value", ["true", "false"])
-    def test_caller_setting_kept(self, spark, value):
-        before = spark.conf.get(AQE)
-        spark.conf.set(AQE, value)
+    @pytest.mark.parametrize("key, call, value", SCOPED)
+    def test_caller_setting_kept(self, spark, key, call, value):
+        before = spark.conf.get(key)
+        spark.conf.set(key, value)
         try:
             eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
             rng = np.random.default_rng(13)
             eng.process_batch(rng.integers(0, 2_000, 4_000))
-            assert spark.conf.get(AQE) == value
+            assert spark.conf.get(key) == value
             eng.process_batch(rng.integers(0, 2_000, 1_000), moves=migration_moves(16, 4))
-            assert spark.conf.get(AQE) == value
+            assert spark.conf.get(key) == value
         finally:
-            spark.conf.set(AQE, before)
+            spark.conf.set(key, before)
 
-    @pytest.mark.parametrize("value", ["true", "false"])
-    def test_caller_setting_kept_when_action_raises(self, spark, monkeypatch, value):
-        def fail(self, eager=True):
-            raise RuntimeError("checkpoint failed")
+    @pytest.mark.parametrize("key, call, value", SCOPED)
+    def test_caller_setting_kept_when_action_raises(self, spark, monkeypatch, key, call, value):
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"{call} failed")
 
-        before = spark.conf.get(AQE)
-        spark.conf.set(AQE, value)
+        before = spark.conf.get(key)
+        spark.conf.set(key, value)
         try:
             eng = SparkMigratableCount(spark, n_workers=4, n_bins=16)
-            monkeypatch.setattr(type(spark.range(1)), "localCheckpoint", fail)
-            with pytest.raises(RuntimeError, match="checkpoint failed"):
+            owner = type(spark) if call == "createDataFrame" else type(spark.range(1))
+            monkeypatch.setattr(owner, call, fail)
+            with pytest.raises(RuntimeError, match=f"{call} failed"):
                 eng.process_batch(np.arange(100))
-            assert spark.conf.get(AQE) == value
+            assert spark.conf.get(key) == value
         finally:
-            spark.conf.set(AQE, before)
+            spark.conf.set(key, before)
 
 
 class TestMovedRowsAtTheEdges:
