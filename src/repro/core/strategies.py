@@ -124,14 +124,12 @@ class MigrationDriver:
         probe: Probe,
         *,
         authority: Optional[ConfigAuthority] = None,
-        control_worker: int = 0,
         gap_ticks: int = 0,
     ):
         self.sim = sim
         self.control = control_input
         self.probe = probe
         self.authority = authority
-        self.control_worker = control_worker
         self.gap_ticks = gap_ticks
         # (at_s, record, steps), ordered by at_s
         self.queue: list[tuple[float, MigrationRecord, list]] = []
@@ -186,9 +184,8 @@ class MigrationDriver:
                 updates = [ControlUpdate(t_ns, b, w) for b, w in step]
                 if self.authority is not None:
                     self.authority.register(updates)
-                self.control.send(
-                    self.control_worker, Batch(time=t_ns, data=updates, nbytes=64.0)
-                )
+                # the controller feeds the control stream from worker 0
+                self.control.send(0, Batch(time=t_ns, data=updates, nbytes=64.0))
                 if rec.started_s is None:
                     rec.started_s = t0
                 rec.steps_issued += 1

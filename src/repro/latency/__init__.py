@@ -1,4 +1,1 @@
-"""Latency recording and analysis (log-binned histograms, CCDF, percentiles)."""
-from repro.latency.histogram import LatencyHistogram, percentile_table
-
-__all__ = ["LatencyHistogram", "percentile_table"]
+"""Latency recording and analysis (log-binned histograms, percentiles)."""

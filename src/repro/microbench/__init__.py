@@ -1,24 +1,2 @@
 """Counting microbenchmarks of paper §5.2 (interface overhead) and §5.3
 (migration latency/duration/throughput/memory)."""
-from repro.microbench.count import CountRun, run_count
-from repro.microbench.overhead import overhead_table
-from repro.microbench.migration import (
-    migration_sweep_bins,
-    migration_sweep_keys,
-    migration_sweep_proportional,
-    throughput_sweep,
-    memory_experiment,
-    headline_comparison,
-)
-
-__all__ = [
-    "CountRun",
-    "run_count",
-    "overhead_table",
-    "migration_sweep_bins",
-    "migration_sweep_keys",
-    "migration_sweep_proportional",
-    "throughput_sweep",
-    "memory_experiment",
-    "headline_comparison",
-]

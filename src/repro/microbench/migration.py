@@ -16,6 +16,8 @@ from repro.microbench.count import run_count
 from repro.timely.cost import CostModel
 
 STRATEGIES = ["all_at_once", "batched", "fluid"]
+# Fig 20: a timely process's resident memory before any operator state
+BASE_GIB_PER_PROCESS = 3.0
 
 
 def migrate_once(
@@ -209,7 +211,6 @@ def memory_experiment(
     n_bins: int = 4096,
     rate: float = 1e6,
     cost: Optional[CostModel] = None,
-    base_gib_per_process: float = 3.0,
 ) -> list[dict]:
     """Fig 20: per-process resident memory over time per strategy.
 
@@ -230,7 +231,7 @@ def memory_experiment(
             sample_memory=True,
         )
         samples = np.array([s[1] for s in run.memory_samples])  # (ticks, procs)
-        per_proc_gib = samples / 2**30 + base_gib_per_process
+        per_proc_gib = samples / 2**30 + BASE_GIB_PER_PROCESS
         head = max(1, len(per_proc_gib) // 10)
         start = np.median(per_proc_gib[:head], axis=0)
         end = np.median(per_proc_gib[-head:], axis=0)

@@ -9,24 +9,16 @@ timers (Table 1's LOC comparison).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nexmark.generator import AUCTION, BID, PERSON
 from repro.nexmark.stream import (
     CLOSED,
+    EUR,
     HOT_STATE_CODES,
     Q3_CATEGORY,
     TIMER,
     NexLogic,
+    rows,
 )
-
-EUR = 0.908
-
-
-def rows(data):
-    order = np.argsort(data["seq"], kind="stable")
-    for i in order:
-        yield {f: v[i] for f, v in data.items()}
 
 
 class Q1Megaphone(NexLogic):

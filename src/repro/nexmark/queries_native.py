@@ -15,20 +15,14 @@ from repro.core.operators import StateLogic
 from repro.nexmark.generator import AUCTION, BID, PERSON
 from repro.nexmark.stream import (
     CLOSED,
+    EUR,
     FIELDS,
     HOT_STATE_CODES,
     Q3_CATEGORY,
     TIMER,
     payload,
+    rows,
 )
-
-EUR = 0.908
-
-
-def _rows(data):
-    order = np.argsort(data["seq"], kind="stable")
-    for i in order:
-        yield {f: v[i] for f, v in data.items()}
 
 
 class _NativeBase(StateLogic):
@@ -85,7 +79,7 @@ class Q3Native(_NativeBase):
         self.auctions: dict[int, list[int]] = {}
 
     def apply(self, time, data):
-        for r in _rows(data):
+        for r in rows(data):
             key = int(r["k"])
             if r["etype"] == PERSON:
                 if int(r["state_code"]) not in HOT_STATE_CODES:
@@ -113,7 +107,7 @@ class Q4Native(_NativeBase):
         self.open_auctions: dict[int, list] = {}
 
     def apply(self, time, data):
-        for r in _rows(data):
+        for r in rows(data):
             key = int(r["k"])
             if r["etype"] == AUCTION:
                 category = int(r["category"])
@@ -144,7 +138,7 @@ class Q5Native(_NativeBase):
 
     def apply(self, time, data):
         n_hops = self.q.window_ms // self.q.slide_ms
-        for r in _rows(data):
+        for r in rows(data):
             key = int(r["k"])
             if r["etype"] == BID:
                 per_window = self.counts.get(key)
@@ -174,7 +168,7 @@ class Q6Native(_NativeBase):
         self.recent: dict[int, list[float]] = {}
 
     def apply(self, time, data):
-        for r in _rows(data):
+        for r in rows(data):
             if r["etype"] != CLOSED:
                 continue
             key = int(r["k"])
@@ -201,7 +195,7 @@ class Q7Native(_NativeBase):
         self.maxima: dict[int, float] = {}
 
     def apply(self, time, data):
-        for r in _rows(data):
+        for r in rows(data):
             key = int(r["k"])
             if r["etype"] == BID:
                 if key not in self.maxima:
@@ -225,7 +219,7 @@ class Q8Native(_NativeBase):
         self.emitted: set[tuple[int, int]] = set()
 
     def apply(self, time, data):
-        for r in _rows(data):
+        for r in rows(data):
             key = int(r["k"])
             w = int(r["ts"]) // (2 * self.q.window_ms)
             if r["etype"] == PERSON:

@@ -48,6 +48,7 @@ FIELDS = [
 CLOSED, TIMER = 3, 9
 HOT_STATE_CODES = (0, 1, 2)  # OR, ID, CA in generator.US_STATES order
 Q3_CATEGORY = 7
+EUR = 0.908  # Q1's dollar-to-euro rate
 
 
 def payload(n: int = 0, **cols) -> dict[str, np.ndarray]:
@@ -64,6 +65,13 @@ def payload(n: int = 0, **cols) -> dict[str, np.ndarray]:
             dtype = np.float64 if f == "price" else np.int64
             out[f] = np.zeros(n, dtype=dtype)
     return out
+
+
+def rows(data):
+    """Yield a payload's records one dict at a time, in stream order."""
+    order = np.argsort(data["seq"], kind="stable")
+    for i in order:
+        yield {f: v[i] for f, v in data.items()}
 
 
 class KeyedBinState:

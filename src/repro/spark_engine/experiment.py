@@ -30,13 +30,12 @@ def migration_timeline(
     migrate_at_batch: int = 8,
     batch_size: Optional[int] = None,
     seed: int = 0,
-    preload: bool = True,
 ) -> dict:
     """Run the timeline; returns batch metrics, summary and final counts.
 
-    ``preload`` loads one instance of every key in batch 0 (the paper's
-    §5.2 methodology), so state size — and hence per-step movement volume —
-    is comparable across strategies.
+    Batch 0 loads one instance of every key (the paper's §5.2 methodology),
+    so state size — and hence per-step movement volume — is comparable
+    across strategies.
     """
     rng = np.random.default_rng(seed)
     eng = SparkMigratableCount(spark, n_workers=n_workers, n_bins=n_bins)
@@ -51,7 +50,7 @@ def migration_timeline(
     timeline = []
     step_i = 0
     for b in range(n_batches):
-        if b == 0 and preload:
+        if b == 0:
             keys = np.arange(n_keys, dtype=np.int64)
         else:
             keys = rng.integers(0, n_keys, batch_records)

@@ -6,26 +6,3 @@ together with a discrete-event cluster model (per-worker clocks, per-process
 NIC bandwidth queues) that supplies the latency/duration/memory axes of the
 paper's evaluation.
 """
-from repro.timely.cost import CostModel
-from repro.timely.engine import (
-    Batch,
-    Channel,
-    InputHandle,
-    Operator,
-    OperatorInstance,
-    Probe,
-    Simulation,
-)
-from repro.timely.notificator import Notificator
-
-__all__ = [
-    "CostModel",
-    "Batch",
-    "Channel",
-    "InputHandle",
-    "Operator",
-    "OperatorInstance",
-    "Probe",
-    "Simulation",
-    "Notificator",
-]

@@ -311,16 +311,17 @@ class Ctx:
 class Simulation:
     """The simulated cluster and dataflow graph. Operators are added in
     topological order; the per-tick loop delivers messages, recomputes
-    frontiers, and schedules instances in graph order for a fixed number of
-    passes (two passes let a record traverse F then S within one tick)."""
+    frontiers, and schedules instances in graph order for ``PASSES`` passes
+    (two passes let a record traverse F then S within one tick)."""
 
-    def __init__(self, cost: Optional[CostModel] = None, passes: int = 2):
+    PASSES = 2
+
+    def __init__(self, cost: Optional[CostModel] = None):
         # finished simulations are reference cycles: free them before this
         # one grows, or back-to-back runs (sweeps) stack their peak memory
         gc.collect()
         self.cost = cost or CostModel()
         self.workers = self.cost.workers
-        self.passes = passes
         self.now = 0.0
         self.worker_busy = np.zeros(self.workers)
         self.nics = [
@@ -383,7 +384,7 @@ class Simulation:
         self.now = t0
         for cb in self.on_tick:
             cb(self, t0)
-        for _ in range(self.passes):
+        for _ in range(self.PASSES):
             for ch in self.channels:
                 ch.deliver_due(t1)
             self.recompute_frontiers()

@@ -141,10 +141,10 @@ class TestMigrationShape:
             nominal_keys=256e6,
             log_bins=[5],
             rate=200e3,
-            strategies=["all_at_once", "fluid"],
+            strategies=["all_at_once", "batched", "fluid"],
             cost=cost(),
         )
-        assert len(rows) == 2
+        assert len(rows) == 3
         assert all(r["duration_s"] is not None for r in rows)
 
     def test_proportional_fixed_latency(self):

@@ -1,6 +1,15 @@
-"""Unit tests for Table 1 LOC counting and markdown table rendering."""
+"""Unit tests for Table 1 LOC counting, markdown table rendering, and the
+rule that no module is imported only by its own tests."""
+import ast
+from pathlib import Path
+
 from repro.nexmark.loc import PAPER_TABLE1, count_loc, loc_table
 from repro.tables import fmt, markdown_table
+
+ROOT = Path(__file__).resolve().parents[1]
+# modules whose only callers are the tests, by design: the DuckDB reference
+# checker the tests compare against
+TEST_ONLY = {"repro.oracle"}
 
 
 class TestCountLoc:
@@ -61,3 +70,30 @@ class TestMarkdown:
 
     def test_empty(self):
         assert markdown_table([]) == "(no rows)"
+
+
+def _imported(dirs: list[str]) -> set[str]:
+    """Every module name an import statement under ``dirs`` may load."""
+    names = set()
+    for d in dirs:
+        for f in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(f.read_text(), str(f))):
+                if isinstance(node, ast.Import):
+                    names.update(a.name for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names.add(node.module)
+                    # ``from pkg import module``
+                    names.update(f"{node.module}.{a.name}" for a in node.names)
+    return names
+
+
+class TestNoTestOnlyModules:
+    def test_every_module_imported_outside_tests(self):
+        src = ROOT / "src"
+        modules = {
+            ".".join(f.relative_to(src).with_suffix("").parts)
+            for f in (src / "repro").rglob("*.py")
+            if f.name != "__init__.py"
+        }
+        unused = modules - _imported(["src", "jobs", "perfbench"]) - TEST_ONLY
+        assert not unused, f"imported only by tests (or nothing): {sorted(unused)}"
