@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, __file__.rsplit("/", 2)[0])  # repo root for repro imports
+# the repro package lives in <repo>/src
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.tables import print_table  # noqa: E402
 

@@ -6,9 +6,11 @@ import os
 import sys
 import time
 import traceback
+from pathlib import Path
 
 sys.path.insert(0, os.path.dirname(__file__))
-sys.path.insert(0, os.path.dirname(os.path.dirname(__file__)))
+# the repro package lives in <repo>/src
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.tables import markdown_table  # noqa: E402
 

@@ -56,7 +56,7 @@ def bin_of_key(key: int, n_bins: int) -> int:
 def range_bin_of_keys(keys: np.ndarray, n_bins: int, domain: int) -> np.ndarray:
     """Bin id by contiguous key range over a dense [0, domain) key space."""
     width = -(-domain // n_bins)  # ceil
-    return (keys // width).astype(np.int64)
+    return (keys // width).astype(np.int64, copy=False)
 
 
 def range_bin_bounds(b: int, n_bins: int, domain: int) -> tuple[int, int]:

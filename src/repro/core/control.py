@@ -84,7 +84,7 @@ class ConfigAuthority:
 
     def check(self, time: int, bins: np.ndarray, worker: int) -> None:
         owners = self.table.lookup(time, bins)
-        if not np.all(owners == worker):
+        if not (owners == worker).all():
             bad = bins[owners != worker][:5]
             raise AssertionError(
                 f"Migration property violated: bins {bad.tolist()} applied at "

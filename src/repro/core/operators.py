@@ -158,10 +158,8 @@ class _FInstance(OperatorInstance):
         self.buffer: list[Batch] = []  # data in advance of the control frontier
 
     def held_times(self) -> list[int]:
-        held = self.mo.shared.held_times()
-        if self.buffer:
-            held.append(min(b.time for b in self.buffer))
-        return held
+        # the shared routing's held times are the F operator's own
+        return [min(b.time for b in self.buffer)] if self.buffer else []
 
     def schedule(self, ctx: Ctx) -> bool:
         mo, sim = self.mo, ctx.sim
@@ -231,17 +229,21 @@ class _FInstance(OperatorInstance):
         bins = mo.bin_fn(keys)
         workers = mo.shared.routing.lookup(batch.time, bins)
         ctx.charge(len(keys) * ctx.sim.cost.c_exchange)
-        # one gather in destination order, then a slice per destination
+        # gather each column once in destination order, then send slices
+        # (views) of the gathered columns per destination
         order = np.argsort(workers, kind="stable")
-        by_dest = take_batch(batch, order)
+        cols = {name: col[order] for name, col in batch.data.items()}
+        arr = None if batch.arrivals is None else batch.arrivals[order]
         per_rec_bytes = batch.nbytes / max(len(keys), 1)
+        time, out = batch.time, mo.data_out_ch
         hi = 0
         for w, n in enumerate(np.bincount(workers).tolist()):
             if not n:
                 continue
             lo, hi = hi, hi + n
-            sub = take_batch(by_dest, slice(lo, hi), per_rec_bytes * n)
-            ctx.send(mo.data_out_ch, w, sub)
+            data = {name: col[lo:hi] for name, col in cols.items()}
+            sub_arr = None if arr is None else arr[lo:hi]
+            ctx.send(out, w, Batch(time, data, sub_arr, per_rec_bytes * n))
 
 
 class _LogicHost(OperatorInstance):
@@ -266,8 +268,8 @@ class _LogicHost(OperatorInstance):
         by_time: dict[int, list[Batch]] = {}
         for t, batch in self.notif.ripe(gate):
             by_time.setdefault(t, []).append(batch)
-        for t in sorted(by_time):
-            batch = _merge_batches(by_time[t])
+        for t, batches in by_time.items():  # ripe() yields in time order
+            batch = _merge_batches(batches)
             if owner.authority is not None:
                 keys = batch.data["k"]
                 owner.authority.check(t, owner.bin_fn(keys), self.worker)
@@ -373,6 +375,7 @@ class MigratableOperator:
         self.shared = _SharedRouting(RoutingTable(n_bins, initial_assignment))
 
         self.f_op = Operator(sim, f"{name}.F")
+        self.f_op.held_times = self.shared.held_times
         self.s_op = Operator(sim, f"{name}.S")
         self.data_ch = Channel(f"{name}.data_in", data_input, self.f_op)
         self.control_ch = Channel(f"{name}.control", control_input, self.f_op)

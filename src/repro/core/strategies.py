@@ -166,6 +166,9 @@ class MigrationDriver:
     def on_tick(self, sim: Simulation, t0: float) -> None:
         if self.control.epoch is None:  # input closed (drain): nothing to drive
             return
+        if self.authority is not None:
+            # S applies nothing before its output frontier: bound the table
+            self.authority.table.compact(self.probe.op.could_produce)
         t_ns = int(round(t0 * 1e9))
         if self.active is None and self.queue and t0 >= self.queue[0][0] - 1e-12:
             _, self.active, self._steps = self.queue.pop(0)

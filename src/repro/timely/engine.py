@@ -21,6 +21,9 @@ produces both the all-at-once latency spike and its memory spike (paper §5.3.5)
 Latencies recorded during a tick are applied to ``Simulation.latency`` and
 the open ``latency_windows`` once, at the end of that tick.
 
+On the per-message path ``Batch`` and ``Ctx`` are slotted, and ``Ctx.send``
+reads ``Simulation.process_of``, the worker→process table computed once.
+
 This is a simulation substrate: numbers it produces are governed by the
 calibrated :class:`repro.timely.cost.CostModel`, but the *data* flowing
 through it is real (numpy/pandas batches), so operator correctness is checked
@@ -40,18 +43,17 @@ from repro.latency.histogram import LatencyHistogram
 from repro.timely.cost import CostModel
 
 
-def frontier_min(*candidates: Optional[float]) -> Optional[float]:
-    """Minimum of integer frontiers where ``None`` means closed/empty.
+def frontier_min(a: Optional[float], b: Optional[float]) -> Optional[float]:
+    """Minimum of two integer frontiers where ``None`` means closed/empty.
 
     Timestamps are totally ordered, so a frontier is a single minimum. A
-    closed input contributes nothing; if every candidate is closed the
-    result is closed (None).
+    closed input contributes nothing; if both are closed the result is
+    closed (None). Ties return ``a``.
     """
-    live = [c for c in candidates if c is not None]
-    return min(live) if live else None
+    return a if b is None or (a is not None and a <= b) else b
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Batch:
     """A timestamped batch of records.
 
@@ -166,8 +168,10 @@ class Channel:
                 self.queued.remove(b.time)
         return got
 
-    def pending_min(self) -> Optional[int]:
-        return frontier_min(self.undelivered.min(), self.queued.min())
+    def set_frontiers(self, src_f: Optional[float]) -> None:
+        """Recompute both frontiers from the source's frontier ``src_f``."""
+        self.arrive_frontier = f = frontier_min(src_f, self.undelivered.min())
+        self.gate_frontier = frontier_min(f, self.queued.min())
 
 
 class Operator:
@@ -181,6 +185,10 @@ class Operator:
         self.instances: list[OperatorInstance] = []
         self.could_produce: Optional[float] = 0.0
         sim.operators.append(self)
+
+    def held_times(self) -> list[int]:
+        """Capabilities of state shared by all instances, asked once."""
+        return []
 
     def add_instances(self, factory: Callable[[int], "OperatorInstance"]) -> None:
         for w in range(self.sim.workers):
@@ -227,7 +235,7 @@ class InputHandle:
             f"send at {batch.time} behind epoch {self.epoch} on {self.name}"
         )
         for ch in self.output_channels:
-            ch.send(dst_worker, batch, self.sim.now, self.sim.next_seq())
+            ch.send(dst_worker, batch, self.sim.now, next(self.sim._seq))
 
     def advance_to(self, t: int) -> None:
         if self.epoch is None:  # closed inputs stay closed
@@ -274,14 +282,20 @@ class _Nic:
         heapq.heappush(self.queued, (self.busy_until, nbytes))
         return self.busy_until + self.latency
 
-    def queued_bytes(self, now: float) -> float:
+    def drop_drained(self, now: float) -> None:
+        """Forget the transfers that have left the NIC by ``now``."""
         while self.queued and self.queued[0][0] <= now:
             heapq.heappop(self.queued)
+
+    def queued_bytes(self, now: float) -> float:
+        self.drop_drained(now)
         return sum(b for _, b in self.queued)
 
 
 class Ctx:
     """Charging context for one ``schedule`` call of one instance."""
+
+    __slots__ = ("sim", "worker", "now")
 
     def __init__(self, sim: "Simulation", worker: int, start: float):
         self.sim = sim
@@ -296,12 +310,12 @@ class Ctx:
     def send(self, channel: Channel, dst_worker: int, batch: Batch) -> None:
         """Send ``batch`` to ``dst_worker``; cross-process goes via the NIC."""
         sim = self.sim
-        src_p, dst_p = sim.cost.process_of(self.worker), sim.cost.process_of(dst_worker)
-        if src_p == dst_p:
+        src_p = sim.process_of[self.worker]
+        if src_p == sim.process_of[dst_worker]:
             deliver = self.now
         else:
             deliver = sim.nics[src_p].transmit(self.now, batch.nbytes)
-        channel.send(dst_worker, batch, deliver, sim.next_seq())
+        channel.send(dst_worker, batch, deliver, next(sim._seq))
 
     def record_latency(self, arrivals: np.ndarray) -> None:
         """Record ``now - arrivals``; applied to the histograms at tick end."""
@@ -323,7 +337,8 @@ class Simulation:
         self.cost = cost or CostModel()
         self.workers = self.cost.workers
         self.now = 0.0
-        self.worker_busy = np.zeros(self.workers)
+        self.worker_busy = [0.0] * self.workers
+        self.process_of = [self.cost.process_of(w) for w in range(self.workers)]
         self.nics = [
             _Nic(self.cost.nic_bw, self.cost.net_latency)
             for _ in range(self.cost.processes)
@@ -346,36 +361,27 @@ class Simulation:
         self.memory_samples: list[tuple[float, np.ndarray]] = []
         self.sample_memory = False
 
-    def next_seq(self) -> int:
-        return next(self._seq)
-
     # -- progress tracking -------------------------------------------------
     def recompute_frontiers(self) -> None:
         """Propagate could-produce frontiers through the DAG (topo order)."""
         for ch in self.channels:
-            src_f = (
-                ch.src.epoch
-                if isinstance(ch.src, InputHandle)
-                else ch.src.could_produce
+            src = ch.src
+            ch.set_frontiers(
+                src.epoch if isinstance(src, InputHandle) else src.could_produce
             )
-            ch.gate_frontier = frontier_min(src_f, ch.pending_min())
-            ch.arrive_frontier = frontier_min(src_f, ch.undelivered.min())
         for op in self.operators:
-            candidates: list[Optional[float]] = [
-                ch.gate_frontier for ch in op.input_channels
-            ]
-            for inst in op.instances:
-                held = inst.held_times()
+            f = None
+            for ch in op.input_channels:
+                f = frontier_min(f, ch.gate_frontier)
+            for holder in (op, *op.instances):
+                held = holder.held_times()
                 if held:
-                    candidates.append(min(held))
-            op.could_produce = frontier_min(*candidates)
+                    f = frontier_min(f, min(held))
+            op.could_produce = f
             # refresh downstream gate views of channels sourced here (topo
             # order makes this exact for a DAG)
             for ch in op.output_channels:
-                ch.gate_frontier = frontier_min(op.could_produce, ch.pending_min())
-                ch.arrive_frontier = frontier_min(
-                    op.could_produce, ch.undelivered.min()
-                )
+                ch.set_frontiers(f)
 
     # -- main loop ---------------------------------------------------------
     def step_tick(self) -> None:
@@ -384,6 +390,7 @@ class Simulation:
         self.now = t0
         for cb in self.on_tick:
             cb(self, t0)
+        worker_busy = self.worker_busy
         for _ in range(self.PASSES):
             for ch in self.channels:
                 ch.deliver_due(t1)
@@ -391,11 +398,12 @@ class Simulation:
             for op in self.operators:
                 for inst in op.instances:
                     w = inst.worker
-                    if self.worker_busy[w] >= t1:
+                    busy = worker_busy[w]
+                    if busy >= t1:
                         continue  # worker saturated: work waits, latency grows
-                    ctx = Ctx(self, w, max(self.worker_busy[w], t0))
+                    ctx = Ctx(self, w, busy if busy > t0 else t0)
                     if inst.schedule(ctx):
-                        self.worker_busy[w] = ctx.now
+                        worker_busy[w] = ctx.now
         self.recompute_frontiers()
         if self.tick_latency:
             lat = np.concatenate(self.tick_latency)
@@ -404,10 +412,10 @@ class Simulation:
             self.latency.record(lat, idx)
             for w in self.latency_windows:
                 w.record(lat, idx)
+        for nic in self.nics:  # sampled or not: the queues hold only bytes in flight
+            nic.drop_drained(t1)
         if self.sample_memory:
-            extra = np.array(
-                [nic.queued_bytes(t1) for nic in self.nics]
-            )
+            extra = np.array([nic.queued_bytes(t1) for nic in self.nics])
             self.memory_samples.append((t1, self.state_bytes + extra))
         self.now = t1
         self.tick_index += 1

@@ -94,3 +94,20 @@ class TestConfigAuthority:
         a.check(50, np.array([1]), 0)
         with pytest.raises(AssertionError):
             a.check(50, np.array([1]), 1)
+
+    def test_compaction_keeps_owners_from_the_frontier_on(self):
+        a = ConfigAuthority(8, np.arange(8) % 4)
+        a.register([ControlUpdate(10, 1, 0)])
+        a.register([ControlUpdate(20, 2, 0)])
+        a.register([ControlUpdate(30, 1, 3)])
+        bins = np.arange(8)
+        before = {t: a.table.lookup(t, bins) for t in (25, 29, 30, 40)}
+        a.table.compact(25)
+        assert a.table.times == [20, 30]
+        for t, owners in before.items():
+            assert np.array_equal(a.table.lookup(t, bins), owners)
+        a.check(25, np.array([1, 2]), 0)
+        with pytest.raises(AssertionError, match="Migration property"):
+            a.check(25, np.array([1]), 1)
+        with pytest.raises(AssertionError, match="Migration property"):
+            a.check(30, np.array([1]), 0)

@@ -1,6 +1,9 @@
 """Unit tests for Table 1 LOC counting, markdown table rendering, and the
 rule that no module is imported only by its own tests."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.nexmark.loc import PAPER_TABLE1, count_loc, loc_table
@@ -97,3 +100,19 @@ class TestNoTestOnlyModules:
         }
         unused = modules - _imported(["src", "jobs", "perfbench"]) - TEST_ONLY
         assert not unused, f"imported only by tests (or nothing): {sorted(unused)}"
+
+
+class TestJobsStandalone:
+    def test_job_runs_without_pythonpath(self):
+        """A job finds the ``repro`` package in ``src/`` by itself."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = subprocess.run(
+            [sys.executable, "jobs/table1_nexmark_loc.py"],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Table 1: NEXMark query implementations, lines of code" in out.stdout

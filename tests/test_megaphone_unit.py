@@ -8,10 +8,10 @@ import pytest
 from repro.core.binning import range_bin_of_keys
 from repro.core.control import ConfigAuthority, ControlUpdate
 from repro.core.operators import MigratableOperator, take_batch
-from repro.core.strategies import initial_assignment
+from repro.core.strategies import MigrationDriver, initial_assignment
 from repro.microbench.count import CountLogic
 from repro.timely.cost import CostModel
-from repro.timely.engine import Batch, InputHandle, Simulation
+from repro.timely.engine import Batch, Ctx, InputHandle, Simulation
 from repro.timely.notificator import Notificator
 
 W, BINS, DOMAIN = 4, 16, 1024
@@ -162,6 +162,66 @@ class TestMigrationInitiation:
         r.advance_both()
         r.tick(2)
         assert not r.mo.shared.migrations
+
+
+class TestRouting:
+    def test_route_matches_take_batch_per_destination(self):
+        """F's gather-then-slice routing against one ``take_batch`` per
+        destination: same destinations in order, columns, arrivals, time and
+        nbytes; worker 1 owns none of the keys and gets no batch."""
+        r = Rig()
+        rng = np.random.default_rng(3)
+        width = DOMAIN // BINS
+        bins = rng.choice([b for b in range(BINS) if b % W != 1], 200)
+        keys = bins * width + rng.integers(0, width, len(bins))
+        batch = Batch(
+            time=4 * MS,
+            data={"k": keys, "v": rng.random(len(keys))},
+            arrivals=np.sort(rng.random(len(keys))),
+            nbytes=1000.3,
+        )
+        r.mo.f_op.instances[0]._route(Ctx(r.sim, 0, 0.0), batch)
+        sent = sorted(r.mo.data_out_ch.in_flight, key=lambda m: m.seq)
+
+        owners = r.mo.shared.routing.lookup(batch.time, r.mo.bin_fn(keys))
+        per_rec = batch.nbytes / len(keys)
+        expected = []
+        for w in range(W):
+            idx = np.flatnonzero(owners == w)
+            if len(idx):
+                expected.append((w, take_batch(batch, idx, per_rec * len(idx))))
+        assert [w for w, _ in expected] == [0, 2, 3]
+        assert [m.dst_worker for m in sent] == [w for w, _ in expected]
+        for m, (_, ref) in zip(sent, expected):
+            got = m.batch
+            assert got.time == ref.time
+            assert got.nbytes == ref.nbytes
+            assert got.data.keys() == ref.data.keys()
+            for name in ref.data:
+                assert np.array_equal(got.data[name], ref.data[name])
+            assert np.array_equal(got.arrivals, ref.arrivals)
+
+
+class TestAuthorityCompaction:
+    def test_driver_bounds_authority_and_keeps_property2(self):
+        """A fluid migration of 8 bins registers 8 epochs; the driver
+        compacts the authority behind S's frontier every tick, and every
+        apply is still checked against it."""
+        r = Rig()
+        driver = MigrationDriver(r.sim, r.control, r.mo.probe, authority=r.authority)
+        moves = [(b, (b + 1) % W) for b in range(8)]
+        rec = driver.schedule_migration(0.002, moves, "fluid")
+        epochs = []
+        for i in range(60):
+            r.send_keys(np.arange(i % 16, DOMAIN, 16))
+            r.data.advance_to(r.now_ns() + MS)
+            r.tick()
+            epochs.append(len(r.authority.table.times))
+        assert rec.completed_s is not None and rec.steps_issued == 8
+        assert max(epochs) <= 3
+        assert r.total_counts() == 60 * (DOMAIN // 16)
+        for b, w in moves:
+            assert r.owner_of_bin(b) == [w]
 
 
 class TestPendingRecordsMigrate:
