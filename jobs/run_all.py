@@ -1,5 +1,9 @@
 """Run every table-reproduction job and write results to
-``results/tables.md`` (the numbers quoted in EXPERIMENTS.md)."""
+``results/tables.md`` (the numbers quoted in EXPERIMENTS.md).
+
+A job that raises gets a ``FAILED`` section with its traceback; the other
+jobs still run, and once the file is written the script exits non-zero
+naming the failed jobs."""
 import argparse
 import importlib
 import os
@@ -37,7 +41,7 @@ def main() -> None:
     ap.add_argument("--out", default="results/tables.md")
     args = ap.parse_args()
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    sections = []
+    sections, failed = [], []
     for name in args.only or JOBS:
         mod = importlib.import_module(name)
         t0 = time.time()
@@ -47,11 +51,14 @@ def main() -> None:
             body = markdown_table(rows, columns)
         except Exception:
             body = "FAILED:\n```\n" + traceback.format_exc() + "\n```"
+            failed.append(name)
         sections.append(f"## {mod.TITLE}\n\n{body}\n")
         print(f"    [{time.time() - t0:.1f}s]", file=sys.stderr)
         with open(args.out, "w") as f:
             f.write("\n".join(sections))
     print(f"wrote {args.out}", file=sys.stderr)
+    if failed:
+        sys.exit(f"failed jobs: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

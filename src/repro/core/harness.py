@@ -115,7 +115,7 @@ def run_open_loop(
     tick_ns = int(round(cost.tick * 1e9))
 
     def feed(sim_: Simulation, t0: float) -> None:
-        if data_in.epoch is None:  # closed during drain
+        if data_in.could_produce is None:  # closed during drain
             return
         t_ns = int(round(t0 * 1e9))
         got = source(t0)

@@ -23,7 +23,6 @@ operator without bins, control input, or migration support.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -113,42 +112,41 @@ class _Migration:
     bin: int
     src: int
     dst: int
-    sent: bool = False
 
 
 @dataclass
 class _SharedRouting:
     """Routing state shared by the F instances of one process (the paper
     shares bins via pointers between same-process operators; our simulation
-    runs one process, so one copy integrated in lockstep)."""
+    runs one process, so one copy integrated in lockstep).
+
+    ``pending`` holds the control updates not yet integrated in arrival
+    order, which is time order: one controller feeds the control stream.
+    ``migrations`` holds the migrations whose bin is not yet shipped."""
 
     routing: RoutingTable
-    pending: list = field(default_factory=list)  # heap of (time, seq, update)
-    migrations: list = field(default_factory=list)
-    seq: int = 0
-
-    def push(self, updates: list[ControlUpdate]) -> None:
-        for u in updates:
-            heapq.heappush(self.pending, (u.time, self.seq, u))
-            self.seq += 1
+    pending: list[ControlUpdate] = field(default_factory=list)
+    migrations: list[_Migration] = field(default_factory=list)
 
     def integrate(self, control_frontier: Optional[float]) -> None:
         """Apply updates whose time is no longer in advance of the control
         frontier; record the implied migrations."""
-        ready: list[ControlUpdate] = []
-        while self.pending and (
-            control_frontier is None or self.pending[0][0] < control_frontier
+        pending = self.pending
+        n = 0
+        while n < len(pending) and (
+            control_frontier is None or pending[n].time < control_frontier
         ):
-            ready.append(heapq.heappop(self.pending)[2])
-        for u in ready:
+            n += 1
+        for u in pending[:n]:
             prev = self.routing.owner_before(u.time, u.bin)
             self.routing.apply_updates([u])
             if prev != u.worker:
                 self.migrations.append(_Migration(u.time, u.bin, prev, u.worker))
+        del pending[:n]
 
     def held_times(self) -> list[int]:
-        held = [t for t, _, _ in self.pending[:1]]
-        held += [m.time for m in self.migrations if not m.sent]
+        held = [u.time for u in self.pending[:1]]
+        held += [m.time for m in self.migrations]
         return held
 
 
@@ -175,8 +173,14 @@ class _FInstance(OperatorInstance):
             return False
         did = False
         # 1. ingest control messages (delivered to worker 0, table is shared)
+        pending = shared.pending
         for cb in mo.control_ch.take(self.worker):
-            mo.shared.push(cb.data)
+            for u in cb.data:
+                assert not pending or u.time >= pending[-1].time, (
+                    f"{self.op.name}: control update at {u.time} arrived "
+                    f"after one at {pending[-1].time} (out of time order)"
+                )
+                pending.append(u)
             did = True
         # control gating must use the *full* gate frontier (including
         # delivered-but-unconsumed control messages): the control stream is
@@ -184,7 +188,7 @@ class _FInstance(OperatorInstance):
         # a message queued at worker 0 must hold everyone back
         control_frontier = mo.control_ch.gate_frontier
         # 2. integrate certain configuration updates (shared, idempotent)
-        mo.shared.integrate(control_frontier)
+        shared.integrate(control_frontier)
         # 3. ingest + route data
         self.buffer.extend(mo.data_ch.take(self.worker))
         if self.buffer:
@@ -199,12 +203,12 @@ class _FInstance(OperatorInstance):
                 for b in routable:
                     self._route(ctx, b)
                 did = True
-        # 4. initiate actionable migrations owned by this worker
-        for m in mo.shared.migrations:
-            if m.sent or m.src != self.worker:
-                continue
+        # 4. initiate actionable migrations owned by this worker; shipping a
+        # bin drops its migration, and with it F's capability at its time
+        for m in [m for m in shared.migrations if m.src == self.worker]:
             if not mo.probe.reached(m.time):
                 continue
+            shared.migrations.remove(m)
             s_inst = mo.s_op.instances[self.worker]
             payload, nbytes, pending = s_inst.uninstall_bin(m.bin)
             ctx.charge(nbytes / sim.cost.ser_bw)
@@ -217,10 +221,8 @@ class _FInstance(OperatorInstance):
                     nbytes=nbytes,
                 ),
             )
-            m.sent = True
             did = True
-        mo.shared.migrations = [m for m in mo.shared.migrations if not m.sent]
-        mo.shared.routing.compact(mo.data_ch.gate_frontier)
+        shared.routing.compact(mo.data_ch.gate_frontier)
         return did
 
     def _route(self, ctx: Ctx, batch: Batch) -> None:

@@ -81,9 +81,6 @@ class NativeCountLogic(StateLogic):
     def apply(self, time: int, data) -> None:
         np.add.at(self.counts, data["k"], 1)
 
-    def owned_bins(self) -> int:
-        return 0
-
 
 @dataclass
 class CountRun:

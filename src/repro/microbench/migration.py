@@ -33,7 +33,6 @@ def migrate_once(
     post_s: float = 1.0,
     cost: Optional[CostModel] = None,
     sample_memory: bool = False,
-    seed: int = 7,
     drain: bool = True,
     completion_timeout_s: float = 600.0,
     strict_completion: bool = True,
@@ -58,7 +57,7 @@ def migrate_once(
         ],
         cost=cost,
         sample_memory=sample_memory,
-        seed=seed,
+        seed=7,
         initial_imbalanced=True,
         drain=drain,
         completion_timeout_s=completion_timeout_s,
@@ -107,15 +106,13 @@ def migration_sweep_keys(
     nominal_keys_list: Optional[list[float]] = None,
     n_bins: int = 4096,
     rate: float = 4e6,
-    strategies: Optional[list[str]] = None,
-    cost: Optional[CostModel] = None,
 ) -> list[dict]:
     """Fig 17: vary the domain size at a fixed bin count."""
     rows = []
     for nk in nominal_keys_list or [256e6, 512e6, 1024e6, 2048e6, 4096e6, 8192e6]:
-        for strat in strategies or STRATEGIES:
+        for strat in STRATEGIES:
             run, rec = migrate_once(
-                nominal_keys=nk, n_bins=n_bins, strategy=strat, rate=rate, cost=cost
+                nominal_keys=nk, n_bins=n_bins, strategy=strat, rate=rate
             )
             rows.append(_row(run, rec, nominal_keys=nk, n_bins=n_bins))
     return rows
@@ -126,21 +123,18 @@ def migration_sweep_proportional(
     keys_per_bin: float = 4e6,
     nominal_keys_list: Optional[list[float]] = None,
     rate: float = 4e6,
-    strategies: Optional[list[str]] = None,
-    cost: Optional[CostModel] = None,
 ) -> list[dict]:
     """Fig 18: domain and bin count grow together (fixed state per bin)."""
     rows = []
     for nk in nominal_keys_list or [256e6, 1024e6, 4096e6, 16384e6, 32768e6]:
         n_bins = int(nk / keys_per_bin)
         n_bins = max(16, 1 << (n_bins - 1).bit_length())  # next power of two
-        for strat in strategies or STRATEGIES:
+        for strat in STRATEGIES:
             run, rec = migrate_once(
                 nominal_keys=nk,
                 n_bins=n_bins,
                 strategy=strat,
                 rate=rate,
-                cost=cost,
                 # fixed batch *size* keeps per-step state constant, which is
                 # the point of this experiment (fixed migration granularity)
                 batch_size=8 if strat == "batched" else None,
@@ -154,7 +148,6 @@ def throughput_sweep(
     nominal_keys: float = 16384e6,
     n_bins: int = 4096,
     rates: Optional[list[float]] = None,
-    cost: Optional[CostModel] = None,
 ) -> list[dict]:
     """Fig 19: offered load vs max latency, steady-state and per strategy."""
     rows = []
@@ -167,7 +160,6 @@ def throughput_sweep(
             rate=rate,
             duration_s=3.0,
             warmup_s=0.5,
-            cost=cost,
             initial_imbalanced=True,
             drain=False,
         )
@@ -188,7 +180,6 @@ def throughput_sweep(
                 n_bins=n_bins,
                 strategy=strat,
                 rate=rate,
-                cost=cost,
                 drain=False,
                 completion_timeout_s=20.0,
                 strict_completion=False,

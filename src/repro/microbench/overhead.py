@@ -26,7 +26,6 @@ def overhead_row(
     duration_s: float = 5.0,
     warmup_s: float = 1.0,
     cost: Optional[CostModel] = None,
-    seed: int = 7,
 ) -> dict:
     """One row of a Fig 13b/14b/15b-style table."""
     n_bins = 2**log_bins if log_bins is not None else 16
@@ -39,7 +38,7 @@ def overhead_row(
         duration_s=duration_s,
         warmup_s=warmup_s,
         cost=cost,
-        seed=seed,
+        seed=7,
         drain=True,
     )
     row = {"experiment": "Native" if impl == "native" else str(log_bins)}

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.nexmark.stream import run_nexmark
-from repro.timely.cost import CostModel
 
 QUERIES = ["q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8"]
 
@@ -25,9 +24,6 @@ def nexmark_migration_table(
     rate_per_s: float = 10_000.0,
     n_bins: int = 1024,
     migrate_at_s: float = 3.0,
-    cost: Optional[CostModel] = None,
-    seed: int = 5,
-    state_scale: float = 20_000.0,
 ) -> list[dict]:
     rows = []
     for q in queries or QUERIES:
@@ -39,9 +35,8 @@ def nexmark_migration_table(
                 n_events=n_events,
                 rate_per_s=rate_per_s,
                 n_bins=n_bins,
-                cost=cost,
-                seed=seed,
-                state_scale=state_scale,
+                seed=5,
+                state_scale=20_000.0,
                 migrations=[
                     {"at_s": migrate_at_s, "moves": "imbalance", "strategy": strategy}
                 ],

@@ -27,6 +27,9 @@ CITIES = np.array(
 )
 
 PERSON, AUCTION, BID = 0, 1, 2
+HOT_AUCTIONS = 20  # bids go to the most recently opened auctions
+AUCTION_DURATION_S = (2.0, 10.0)  # uniform auction lifetime
+N_CATEGORIES = 10
 
 
 def nexmark_events(
@@ -34,9 +37,6 @@ def nexmark_events(
     *,
     rate_per_s: float = 10_000.0,
     seed: int = 0,
-    hot_auctions: int = 20,
-    auction_duration_s: tuple[float, float] = (2.0, 10.0),
-    n_categories: int = 10,
 ) -> pd.DataFrame:
     """Generate ``n`` interleaved NEXMark events as one pandas DataFrame.
 
@@ -63,15 +63,15 @@ def nexmark_events(
     seller = np.where(
         etype == AUCTION, g.integers(1, persons_so_far + 1), 0
     )
-    category = np.where(etype == AUCTION, g.integers(0, n_categories, n), 0)
-    dur_lo, dur_hi = auction_duration_s
+    category = np.where(etype == AUCTION, g.integers(0, N_CATEGORIES, n), 0)
+    dur_lo, dur_hi = AUCTION_DURATION_S
     expires_ms = np.where(
         etype == AUCTION,
         ts_ms + (g.uniform(dur_lo, dur_hi, n) * 1000).astype(np.int64),
         0,
     )
 
-    pool = np.minimum(hot_auctions, np.maximum(auctions_so_far, 1))
+    pool = np.minimum(HOT_AUCTIONS, np.maximum(auctions_so_far, 1))
     bid_auction = np.where(
         etype == BID, auctions_so_far - g.integers(0, 10**9, n) % pool, 0
     )

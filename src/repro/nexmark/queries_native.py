@@ -33,9 +33,6 @@ class _NativeBase(StateLogic):
         self.state: dict = {}
         self._post: list = []
 
-    def owned_bins(self) -> int:
-        return 0
-
     def take_postdated(self):
         out, self._post = self._post, []
         return out

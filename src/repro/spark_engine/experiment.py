@@ -9,8 +9,6 @@ batch — the Spark rendering of Figs 1/16.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 from pyspark.sql import SparkSession
 
@@ -28,7 +26,6 @@ def migration_timeline(
     batch_records: int = 50_000,
     n_batches: int = 18,
     migrate_at_batch: int = 8,
-    batch_size: Optional[int] = None,
     seed: int = 0,
 ) -> dict:
     """Run the timeline; returns batch metrics, summary and final counts.
@@ -40,12 +37,7 @@ def migration_timeline(
     rng = np.random.default_rng(seed)
     eng = SparkMigratableCount(spark, n_workers=n_workers, n_bins=n_bins)
     moves = migration_moves(n_bins, n_workers)
-    steps = plan_steps(
-        moves,
-        strategy,
-        batch_size=batch_size,
-        assignment=eng.routing.copy(),
-    )
+    steps = plan_steps(moves, strategy, assignment=eng.routing.copy())
     all_keys = []
     timeline = []
     step_i = 0

@@ -7,7 +7,10 @@ concepts Megaphone relies on:
 * integer logical timestamps on every message (nanoseconds of event time);
 * frontiers / progress tracking: for every channel the engine knows the
   minimum logical timestamp that may still arrive, derived from upstream
-  capabilities, buffered work, and in-flight messages;
+  capabilities, buffered work, and in-flight messages. One pass over the
+  operators in topological order (checked as each channel is built) sets
+  each operator's input channels from their sources' ``could_produce`` and
+  folds them with the operator's held times into its own ``could_produce``;
 * capabilities: operator instances may hold times, which holds downstream
   frontiers back (Megaphone's F holds the migration time on the state
   channel until state has been shipped);
@@ -124,6 +127,8 @@ class Channel:
     ``gate_frontier`` — the minimum logical time that may *still arrive* at
     the destination (undelivered messages plus everything the sources could
     still produce) — is recomputed by the simulation each scheduling pass.
+    The source must be an input or an operator added before the destination,
+    so that one pass in operator order sees every source's current frontier.
     """
 
     def __init__(self, name: str, src: "Operator | InputHandle", dst: "Operator"):
@@ -141,8 +146,15 @@ class Channel:
         # hands and consumed before acting).
         self.gate_frontier: Optional[float] = 0.0
         self.arrive_frontier: Optional[float] = 0.0
+        if isinstance(src, InputHandle):
+            src.output_channels.append(self)
+        else:
+            ops = dst.sim.operators
+            assert src in ops[: ops.index(dst)], (
+                f"channel {name}: source {src.name} must be added before "
+                f"destination {dst.name} (operators run in topological order)"
+            )
         dst.input_channels.append(self)
-        src.output_channels.append(self)
         dst.sim.channels.append(self)
 
     # -- message lifecycle -------------------------------------------------
@@ -181,7 +193,6 @@ class Operator:
         self.sim = sim
         self.name = name
         self.input_channels: list[Channel] = []
-        self.output_channels: list[Channel] = []
         self.instances: list[OperatorInstance] = []
         self.could_produce: Optional[float] = 0.0
         sim.operators.append(self)
@@ -217,7 +228,8 @@ class OperatorInstance:
 
 
 class InputHandle:
-    """External source: holds a capability at ``epoch`` until advanced.
+    """External source: holds a capability at ``could_produce`` until
+    advanced (the attribute an operator's frontier has, too).
 
     ``send`` delivers a batch to a chosen worker of the destination operator
     at the current simulation time (sources are outside the NIC model).
@@ -226,25 +238,27 @@ class InputHandle:
     def __init__(self, sim: "Simulation", name: str):
         self.sim = sim
         self.name = name
-        self.epoch: Optional[int] = 0
+        self.could_produce: Optional[int] = 0
         self.output_channels: list[Channel] = []
         sim.inputs.append(self)
 
     def send(self, dst_worker: int, batch: Batch) -> None:
-        assert self.epoch is not None and batch.time >= self.epoch, (
-            f"send at {batch.time} behind epoch {self.epoch} on {self.name}"
+        f = self.could_produce
+        assert f is not None and batch.time >= f, (
+            f"send at {batch.time} behind frontier {f} on {self.name}"
         )
         for ch in self.output_channels:
             ch.send(dst_worker, batch, self.sim.now, next(self.sim._seq))
 
     def advance_to(self, t: int) -> None:
-        if self.epoch is None:  # closed inputs stay closed
+        f = self.could_produce
+        if f is None:  # closed inputs stay closed
             return
-        assert t >= self.epoch, f"cannot regress epoch {self.epoch} -> {t}"
-        self.epoch = t
+        assert t >= f, f"cannot regress frontier {f} -> {t}"
+        self.could_produce = t
 
     def close(self) -> None:
-        self.epoch = None
+        self.could_produce = None
 
 
 class Probe:
@@ -302,10 +316,9 @@ class Ctx:
         self.worker = worker
         self.now = start
 
-    def charge(self, seconds: float, jitter: bool = True) -> None:
+    def charge(self, seconds: float) -> None:
         if seconds > 0:
-            self.sim.total_cpu += seconds
-            self.now += self.sim.cost.jitter(seconds) if jitter else seconds
+            self.now += self.sim.cost.jitter(seconds)
 
     def send(self, channel: Channel, dst_worker: int, batch: Batch) -> None:
         """Send ``batch`` to ``dst_worker``; cross-process goes via the NIC."""
@@ -324,9 +337,10 @@ class Ctx:
 
 class Simulation:
     """The simulated cluster and dataflow graph. Operators are added in
-    topological order; the per-tick loop delivers messages, recomputes
-    frontiers, and schedules instances in graph order for ``PASSES`` passes
-    (two passes let a record traverse F then S within one tick)."""
+    topological order (``Channel`` checks it); the per-tick loop delivers
+    messages, recomputes frontiers, and schedules instances in graph order
+    for ``PASSES`` passes (two passes let a record traverse F then S within
+    one tick)."""
 
     PASSES = 2
 
@@ -351,7 +365,6 @@ class Simulation:
         # latencies recorded during the current tick; windows open and close
         # only in on_tick callbacks, so one flush per tick is exact
         self.tick_latency: list[np.ndarray] = []
-        self.total_cpu = 0.0
         self.tick_index = 0
         self._seq = itertools.count()
         self.on_tick: list[Callable[["Simulation", float], None]] = []
@@ -363,25 +376,19 @@ class Simulation:
 
     # -- progress tracking -------------------------------------------------
     def recompute_frontiers(self) -> None:
-        """Propagate could-produce frontiers through the DAG (topo order)."""
-        for ch in self.channels:
-            src = ch.src
-            ch.set_frontiers(
-                src.epoch if isinstance(src, InputHandle) else src.could_produce
-            )
+        """Propagate could-produce frontiers through the DAG in one pass: in
+        topological order every source's ``could_produce`` is current when
+        its channel is set."""
         for op in self.operators:
             f = None
             for ch in op.input_channels:
+                ch.set_frontiers(ch.src.could_produce)
                 f = frontier_min(f, ch.gate_frontier)
             for holder in (op, *op.instances):
                 held = holder.held_times()
                 if held:
                     f = frontier_min(f, min(held))
             op.could_produce = f
-            # refresh downstream gate views of channels sourced here (topo
-            # order makes this exact for a DAG)
-            for ch in op.output_channels:
-                ch.set_frontiers(f)
 
     # -- main loop ---------------------------------------------------------
     def step_tick(self) -> None:

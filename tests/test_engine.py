@@ -52,7 +52,7 @@ class Collect(OperatorInstance):
         for b in self.queue:
             if gate is None or b.time < gate:
                 self.got.append(b)
-                ctx.charge(1e-5, jitter=False)
+                ctx.charge(1e-5)
                 did = True
             else:
                 keep.append(b)
@@ -227,11 +227,34 @@ class TestProgress:
         with pytest.raises(AssertionError):
             inp.send(0, Batch(time=5, data=None))
 
+    def test_one_pass_sees_current_upstream_frontier(self):
+        """input -> A -> B: B's input channel gets A's frontier from the
+        same pass, not the one A had before it."""
+        sim = Simulation(small_cost())
+        inp = InputHandle(sim, "in")
+        a, b = Operator(sim, "A"), Operator(sim, "B")
+        Channel("in->A", inp, a)
+        ab = Channel("A->B", a, b)
+        inp.advance_to(10)
+        sim.recompute_frontiers()
+        assert a.could_produce == 10
+        assert ab.gate_frontier == ab.arrive_frontier == 10
+        assert b.could_produce == 10
+
+    def test_channel_against_operator_order_rejected(self):
+        sim = Simulation(small_cost())
+        a, b = Operator(sim, "A"), Operator(sim, "B")
+        Channel("A->B", a, b)
+        with pytest.raises(AssertionError, match="channel B->A: .*topological"):
+            Channel("B->A", b, a)
+        with pytest.raises(AssertionError, match="channel A->A"):
+            Channel("A->A", a, a)
+
     def test_closed_stays_closed(self):
         sim, inp, *_ = build_sim()
         inp.close()
         inp.advance_to(100)  # no-op
-        assert inp.epoch is None
+        assert inp.could_produce is None
 
 
 class TestWorkerClocks:
@@ -255,12 +278,12 @@ class TestWorkerClocks:
         sim.step_tick()
         assert insts[0].got
 
-    def test_total_cpu_tracked(self):
+    def test_charge_advances_worker_clock(self):
         sim, inp, op, ch, insts = build_sim()
         inp.send(0, Batch(time=0, data=None))
         inp.advance_to(10)
         sim.step_tick()
-        assert sim.total_cpu == pytest.approx(1e-5)
+        assert sim.worker_busy[0] == pytest.approx(1e-5)
 
 
 class TestNicIntegration:

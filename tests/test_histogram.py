@@ -34,14 +34,6 @@ class TestLatencyHistogram:
         h.record(np.array([1e-3]))
         assert h.percentile(99.99) <= h.max
 
-    def test_merge(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(np.array([1e-3] * 10))
-        b.record(np.array([1e-1] * 10))
-        a.merge(b)
-        assert a.total == 20
-        assert a.max == 1e-1
-
     def test_record_vectorised_total(self):
         h = LatencyHistogram()
         h.record(np.linspace(1e-4, 1e-2, 500))

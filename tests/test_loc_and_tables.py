@@ -1,10 +1,13 @@
 """Unit tests for Table 1 LOC counting, markdown table rendering, and the
 rule that no module is imported only by its own tests."""
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.nexmark.loc import PAPER_TABLE1, count_loc, loc_table
 from repro.tables import fmt, markdown_table
@@ -100,6 +103,36 @@ class TestNoTestOnlyModules:
         }
         unused = modules - _imported(["src", "jobs", "perfbench"]) - TEST_ONLY
         assert not unused, f"imported only by tests (or nothing): {sorted(unused)}"
+
+
+class TestRunAll:
+    def test_failed_job_fails_the_run_after_writing_tables(self, tmp_path, monkeypatch):
+        (tmp_path / "ok_job_for_test.py").write_text(
+            'TITLE = "ok"\n\ndef main(quick=False):\n    return [{"a": 1}], ["a"]\n'
+        )
+        (tmp_path / "bad_job_for_test.py").write_text(
+            'TITLE = "bad"\n\ndef main(quick=False):\n    raise RuntimeError("boom")\n'
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        spec = importlib.util.spec_from_file_location("run_all", ROOT / "jobs" / "run_all.py")
+        run_all = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_all)
+        out = tmp_path / "tables.md"
+        monkeypatch.setattr(
+            sys,
+            "argv",
+            ["run_all.py", "--only", "bad_job_for_test", "ok_job_for_test", "--out", str(out)],
+        )
+        try:
+            with pytest.raises(SystemExit) as exc:
+                run_all.main()
+        finally:
+            for name in ("ok_job_for_test", "bad_job_for_test"):
+                sys.modules.pop(name, None)
+        assert exc.value.code == "failed jobs: bad_job_for_test"
+        tables = out.read_text()
+        assert "## bad\n\nFAILED:" in tables and "RuntimeError: boom" in tables
+        assert "## ok\n\n| a |" in tables
 
 
 class TestJobsStandalone:

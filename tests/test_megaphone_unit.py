@@ -130,6 +130,8 @@ class TestMigrationInitiation:
         assert r.owner_of_bin(0) == [3]
         # counts preserved: installed at the new owner
         assert r.logics[3].counts[key] == 4
+        # shipping the bin dropped the migration and its capability
+        assert not r.mo.shared.migrations
 
     def test_records_at_migration_time_go_to_new_owner(self):
         r = Rig()
@@ -154,6 +156,16 @@ class TestMigrationInitiation:
         r.data.advance_to(r.now_ns() + 5 * MS)
         r.tick()
         assert not r.mo.probe.passed(t_mig)
+
+    def test_control_update_out_of_time_order_rejected(self):
+        r = Rig()
+        t = r.now_ns()
+        late = ControlUpdate(t + 2 * MS, 0, 2)
+        r.control.send(0, Batch(time=late.time, data=[late]))
+        # earlier in time than the pending update: F must not reorder it
+        r.control.send(0, Batch(time=t, data=[ControlUpdate(t, 1, 2)]))
+        with pytest.raises(AssertionError, match=r"c.F: control update at .*out of time order"):
+            r.tick()
 
     def test_noop_update_to_same_worker_is_not_a_migration(self):
         r = Rig()
