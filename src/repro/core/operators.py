@@ -276,7 +276,7 @@ class _LogicHost(OperatorInstance):
                 keys = batch.data["k"]
                 owner.authority.check(t, owner.bin_fn(keys), self.worker)
             self.logic.apply(t, batch.data)
-            ctx.charge(len(batch) * owner.c_record)
+            ctx.charge(len(batch.data["k"]) * owner.c_record)
             if batch.arrivals is not None:
                 ctx.record_latency(batch.arrivals)
             for pt, pdata in self.logic.take_postdated():

@@ -72,14 +72,6 @@ class Batch:
     arrivals: Optional[np.ndarray] = None
     nbytes: float = 0.0
 
-    def __len__(self) -> int:
-        if self.arrivals is not None:
-            return len(self.arrivals)
-        try:
-            return len(self.data)
-        except TypeError:
-            return 1
-
 
 class _InFlight(NamedTuple):
     """Heap entry of a message in flight; ``seq`` is unique, so entries

@@ -7,7 +7,12 @@ import pytest
 
 from repro.core.binning import range_bin_of_keys
 from repro.core.control import ConfigAuthority, ControlUpdate
-from repro.core.operators import MigratableOperator, take_batch
+from repro.core.operators import (
+    MigratableOperator,
+    NativeOperator,
+    StateLogic,
+    take_batch,
+)
 from repro.core.strategies import MigrationDriver, initial_assignment
 from repro.microbench.count import CountLogic
 from repro.timely.cost import CostModel
@@ -174,6 +179,57 @@ class TestMigrationInitiation:
         r.advance_both()
         r.tick(2)
         assert not r.mo.shared.migrations
+
+
+class TestApplyCharge:
+    """An apply charges ``c_record`` per record it applies, arrivals or not
+    (NEXMark timers carry none)."""
+
+    C_RECORD = 1e-6
+
+    def _host(self):
+        sim = Simulation(
+            CostModel(workers=W, workers_per_process=2, jitter_sigma=0.0, spike_prob=0.0)
+        )
+
+        class Recorded(StateLogic):
+            def __init__(self, worker):
+                self.applied = []
+
+            def apply(self, time, data):
+                self.applied.append(len(data["k"]))
+
+        native = NativeOperator(
+            sim,
+            "n",
+            logic_factory=Recorded,
+            c_record=self.C_RECORD,
+            data_input=InputHandle(sim, "in"),
+        )
+        return sim, native.op.instances[0]
+
+    @staticmethod
+    def _records(n, arrivals=False):
+        # more columns than records in the timer batch, as NEXMark's payloads
+        data = {c: np.zeros(n, dtype=np.int64) for c in "kwxyz"}
+        return Batch(time=0, data=data, arrivals=np.zeros(n) if arrivals else None)
+
+    def test_timer_only_apply_charges_per_timer(self):
+        sim, host = self._host()
+        host.notif.notify_at(0, self._records(3))
+        ctx = Ctx(sim, 0, 0.0)
+        assert host.apply_ripe(ctx, 1)
+        assert host.logic.applied == [3]
+        assert ctx.now == pytest.approx(3 * self.C_RECORD)
+
+    def test_timers_merged_with_data_are_charged(self):
+        sim, host = self._host()
+        host.notif.notify_at(0, self._records(4, arrivals=True))
+        host.notif.notify_at(0, self._records(3))
+        ctx = Ctx(sim, 0, 0.0)
+        assert host.apply_ripe(ctx, 1)
+        assert host.logic.applied == [7]
+        assert ctx.now == pytest.approx(7 * self.C_RECORD)
 
 
 class TestRouting:
