@@ -164,7 +164,7 @@ class MigrationDriver:
         return rec
 
     def on_tick(self, sim: Simulation, t0: float) -> None:
-        if self.control.could_produce is None:  # input closed (drain): nothing to drive
+        if self.control.could_produce is None:  # closed (drain): nothing to drive
             return
         if self.authority is not None:
             # S applies nothing before its output frontier: bound the table

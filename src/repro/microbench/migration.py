@@ -57,7 +57,6 @@ def migrate_once(
         ],
         cost=cost,
         sample_memory=sample_memory,
-        seed=7,
         initial_imbalanced=True,
         drain=drain,
         completion_timeout_s=completion_timeout_s,

@@ -38,7 +38,6 @@ def overhead_row(
         duration_s=duration_s,
         warmup_s=warmup_s,
         cost=cost,
-        seed=7,
         drain=True,
     )
     row = {"experiment": "Native" if impl == "native" else str(log_bins)}

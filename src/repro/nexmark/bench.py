@@ -35,7 +35,6 @@ def nexmark_migration_table(
                 n_events=n_events,
                 rate_per_s=rate_per_s,
                 n_bins=n_bins,
-                seed=5,
                 state_scale=20_000.0,
                 migrations=[
                     {"at_s": migrate_at_s, "moves": "imbalance", "strategy": strategy}
