@@ -1,64 +1,59 @@
-"""Run every table-reproduction job and write results to
-``results/tables.md`` (the numbers quoted in EXPERIMENTS.md).
+"""Regenerate the reproduced tables in ``repro.tables.TABLES``.
 
-A job that raises gets a ``FAILED`` section with its traceback; the other
-jobs still run, and once the file is written the script exits non-zero
-naming the failed jobs."""
+    python jobs/run_all.py --out results/tables.md   # every table
+    python jobs/run_all.py --only fig14b --quick     # one table, smoke-scale
+
+Each table is printed to stdout, and with ``--out`` the tables run so far
+are written to that file after each one (``results/tables.md`` holds the
+numbers EXPERIMENTS.md quotes). Each point's function, kwargs and wall
+seconds go to stderr. A table one of whose points raises gets a ``FAILED``
+section with its traceback; the other tables still run, and once the output
+is written the script exits non-zero naming the failed tables."""
 import argparse
-import importlib
-import os
 import sys
 import time
 import traceback
 from pathlib import Path
 
-sys.path.insert(0, os.path.dirname(__file__))
 # the repro package lives in <repo>/src
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.tables import markdown_table  # noqa: E402
-
-JOBS = [
-    "table1_nexmark_loc",
-    "table_fig1_headline",
-    "table_fig13b_hash_count",
-    "table_fig14b_key_count",
-    "table_fig15b_key_count_large",
-    "table_fig16_bins",
-    "table_fig17_keys",
-    "table_fig18_proportional",
-    "table_fig19_throughput",
-    "table_fig20_memory",
-    "table_nexmark_migration",
-    "table_spark_engine",
-]
+from repro.tables import TABLES, markdown_table  # noqa: E402
 
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--quick", action="store_true")
-    ap.add_argument("--only", nargs="*", default=None)
-    ap.add_argument("--out", default="results/tables.md")
+    ap.add_argument(
+        "--quick", action="store_true", help="scaled-down smoke-run parameters"
+    )
+    ap.add_argument("--only", nargs="+", choices=list(TABLES), metavar="TABLE")
+    ap.add_argument("--out", type=Path, help="also write the tables to this file")
     args = ap.parse_args()
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     sections, failed = [], []
-    for name in args.only or JOBS:
-        mod = importlib.import_module(name)
-        t0 = time.time()
-        print(f"=== {name} ===", file=sys.stderr)
+    for key in args.only or TABLES:
+        table = TABLES[key]
         try:
-            rows, columns = mod.main(quick=args.quick)
-            body = markdown_table(rows, columns)
+            rows = []
+            for fn, kwargs in table.points(args.quick):
+                t0 = time.time()
+                rows += fn(**kwargs)
+                print(
+                    f"{key} {fn.__module__}.{fn.__name__} {kwargs}"
+                    f" [{time.time() - t0:.1f}s]",
+                    file=sys.stderr,
+                    flush=True,
+                )
+            body = markdown_table(rows, table.columns)
         except Exception:
             body = "FAILED:\n```\n" + traceback.format_exc() + "\n```"
-            failed.append(name)
-        sections.append(f"## {mod.TITLE}\n\n{body}\n")
-        print(f"    [{time.time() - t0:.1f}s]", file=sys.stderr)
-        with open(args.out, "w") as f:
-            f.write("\n".join(sections))
-    print(f"wrote {args.out}", file=sys.stderr)
+            failed.append(key)
+        sections.append(f"## {table.title}\n\n{body}\n")
+        print(sections[-1], flush=True)
+        if args.out:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
+            args.out.write_text("\n".join(sections))
     if failed:
-        sys.exit(f"failed jobs: {', '.join(failed)}")
+        sys.exit(f"failed tables: {', '.join(failed)}")
 
 
 if __name__ == "__main__":

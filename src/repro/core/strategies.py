@@ -37,7 +37,10 @@ def initial_assignment(n_bins: int, workers: int) -> np.ndarray:
 
 def migration_moves(n_bins: int, workers: int) -> list[tuple[int, int]]:
     """The paper's first migration: half the keys of half the workers move to
-    the other half (25% of total state), leaving an imbalanced assignment."""
+    the other half (25% of total state), leaving an imbalanced assignment.
+
+    With one bin per worker (``n_bins == workers``) every upper-half bin
+    moves: 50% of the state."""
     moves = []
     for b in range(n_bins):
         w = b % workers

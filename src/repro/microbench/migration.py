@@ -4,7 +4,8 @@ Every experiment runs the key-count workload from the imbalanced
 configuration (the state after the paper's first migration) and performs the
 reported *rebalancing* migration, summarising it by its **duration** and the
 **maximum service latency** observed during it — the two axes of the paper's
-latency-vs-duration scatter plots.
+latency-vs-duration scatter plots. Each ``*_row`` function runs one point of
+a table in ``repro.tables`` and returns its rows.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ BASE_GIB_PER_PROCESS = 3.0
 
 def migrate_once(
     *,
-    flavour: str = "key",
     nominal_keys: float,
     n_bins: int,
     strategy: str,
@@ -40,7 +40,6 @@ def migrate_once(
     """Run one rebalancing migration; return (CountRun, MigrationRecord)."""
     run = run_count(
         impl="megaphone",
-        flavour=flavour,
         nominal_keys=nominal_keys,
         rate=rate,
         n_bins=n_bins,
@@ -65,95 +64,32 @@ def migrate_once(
     return run, run.migrations[0]
 
 
-def _row(run, rec, **extra) -> dict:
-    row = {
-        "strategy": rec.strategy,
-        "duration_s": rec.duration_s,
-        "max_latency_ms": rec.max_latency_s * 1e3,
-        "steps": rec.steps_total,
-        "moves": rec.moves_total,
-    }
-    row.update(extra)
-    return row
+def migration_row(**kwargs) -> list[dict]:
+    """Figs 1, 16, 17, 18: one :func:`migrate_once` run as a row."""
+    _, rec = migrate_once(**kwargs)
+    n_bins = kwargs["n_bins"]
+    return [
+        {
+            "nominal_keys": kwargs["nominal_keys"],
+            "n_bins": n_bins,
+            "log_bins": n_bins.bit_length() - 1,
+            "strategy": rec.strategy,
+            "duration_s": rec.duration_s,
+            "max_latency_ms": rec.max_latency_s * 1e3,
+            "steps": rec.steps_total,
+            "moves": rec.moves_total,
+        }
+    ]
 
 
-def migration_sweep_bins(
-    *,
-    nominal_keys: float = 4096e6,
-    log_bins: Optional[list[int]] = None,
-    rate: float = 4e6,
-    strategies: Optional[list[str]] = None,
-    cost: Optional[CostModel] = None,
+def throughput_row(
+    *, nominal_keys: float, n_bins: int, rate: float, strategy: str
 ) -> list[dict]:
-    """Fig 16: vary the bin count at a fixed domain."""
-    rows = []
-    for lb in log_bins or [4, 6, 8, 10, 12, 14]:
-        for strat in strategies or STRATEGIES:
-            run, rec = migrate_once(
-                nominal_keys=nominal_keys,
-                n_bins=2**lb,
-                strategy=strat,
-                rate=rate,
-                cost=cost,
-            )
-            rows.append(_row(run, rec, log_bins=lb, nominal_keys=nominal_keys))
-    return rows
-
-
-def migration_sweep_keys(
-    *,
-    nominal_keys_list: Optional[list[float]] = None,
-    n_bins: int = 4096,
-    rate: float = 4e6,
-) -> list[dict]:
-    """Fig 17: vary the domain size at a fixed bin count."""
-    rows = []
-    for nk in nominal_keys_list or [256e6, 512e6, 1024e6, 2048e6, 4096e6, 8192e6]:
-        for strat in STRATEGIES:
-            run, rec = migrate_once(
-                nominal_keys=nk, n_bins=n_bins, strategy=strat, rate=rate
-            )
-            rows.append(_row(run, rec, nominal_keys=nk, n_bins=n_bins))
-    return rows
-
-
-def migration_sweep_proportional(
-    *,
-    keys_per_bin: float = 4e6,
-    nominal_keys_list: Optional[list[float]] = None,
-    rate: float = 4e6,
-) -> list[dict]:
-    """Fig 18: domain and bin count grow together (fixed state per bin)."""
-    rows = []
-    for nk in nominal_keys_list or [256e6, 1024e6, 4096e6, 16384e6, 32768e6]:
-        n_bins = int(nk / keys_per_bin)
-        n_bins = max(16, 1 << (n_bins - 1).bit_length())  # next power of two
-        for strat in STRATEGIES:
-            run, rec = migrate_once(
-                nominal_keys=nk,
-                n_bins=n_bins,
-                strategy=strat,
-                rate=rate,
-                # fixed batch *size* keeps per-step state constant, which is
-                # the point of this experiment (fixed migration granularity)
-                batch_size=8 if strat == "batched" else None,
-            )
-            rows.append(_row(run, rec, nominal_keys=nk, n_bins=n_bins))
-    return rows
-
-
-def throughput_sweep(
-    *,
-    nominal_keys: float = 16384e6,
-    n_bins: int = 4096,
-    rates: Optional[list[float]] = None,
-) -> list[dict]:
-    """Fig 19: offered load vs max latency, steady-state and per strategy."""
-    rows = []
-    for rate in rates or [250e3, 1e6, 4e6, 16e6, 32e6]:
+    """Fig 19: max latency at one offered load, steady (``strategy="none"``)
+    or during a migration."""
+    if strategy == "none":
         steady = run_count(
             impl="megaphone",
-            flavour="key",
             nominal_keys=nominal_keys,
             n_bins=n_bins,
             rate=rate,
@@ -162,110 +98,58 @@ def throughput_sweep(
             initial_imbalanced=True,
             drain=False,
         )
-        rows.append(
-            {
-                "rate": rate,
-                "strategy": "none",
-                "max_latency_ms": steady.steady.max * 1e3,
-                "duration_s": None,
-            }
-        )
-        for strat in STRATEGIES:
-            # under overload (the top rate) the migration cannot complete in
-            # bounded time — the paper's point is exactly that latency
-            # explodes there, so cap the wait and report what was observed
-            run, rec = migrate_once(
-                nominal_keys=nominal_keys,
-                n_bins=n_bins,
-                strategy=strat,
-                rate=rate,
-                drain=False,
-                completion_timeout_s=20.0,
-                strict_completion=False,
-            )
-            max_lat = rec.max_latency_s or run.latency.max
-            rows.append(
-                {
-                    "rate": rate,
-                    "strategy": strat,
-                    "max_latency_ms": max_lat * 1e3,
-                    "duration_s": rec.duration_s,
-                }
-            )
-    return rows
-
-
-def memory_experiment(
-    *,
-    nominal_keys: float = 16e9,
-    n_bins: int = 4096,
-    rate: float = 1e6,
-    cost: Optional[CostModel] = None,
-) -> list[dict]:
-    """Fig 20: per-process resident memory over time per strategy.
-
-    Modelled RSS = base + state bytes + serialised bytes queued on the NIC;
-    the table reports steady-state and migration-peak GiB of process 0's
-    *counterpart sender* (the process sending the most, as the paper's Fig 20
-    shows the first timely process).
-    """
-    rows = []
-    for strat in STRATEGIES:
-        run, rec = migrate_once(
-            flavour="key",
-            nominal_keys=nominal_keys,
-            n_bins=n_bins,
-            strategy=strat,
-            rate=rate,
-            cost=cost,
-            sample_memory=True,
-        )
-        samples = np.array([s[1] for s in run.memory_samples])  # (ticks, procs)
-        per_proc_gib = samples / 2**30 + BASE_GIB_PER_PROCESS
-        head = max(1, len(per_proc_gib) // 10)
-        start = np.median(per_proc_gib[:head], axis=0)
-        end = np.median(per_proc_gib[-head:], axis=0)
-        peak = per_proc_gib.max(axis=0)
-        # transient overshoot: peak above both the pre- and post-migration
-        # resident level (relocated state is not an allocation spike)
-        overshoot = peak - np.maximum(start, end)
-        rows.append(
-            {
-                "strategy": strat,
-                "steady_gib": float(start.max()),
-                "peak_gib": float(peak.max()),
-                "extra_gib": float(overshoot.max()),
-                "duration_s": rec.duration_s,
-            }
-        )
-    return rows
-
-
-def headline_comparison(
-    *,
-    nominal_keys: float = 1e9,
-    n_bins: int = 4096,
-    rate: float = 1e6,
-    cost: Optional[CostModel] = None,
-) -> list[dict]:
-    """Fig 1: one billion keys / 8 GB of state, three strategies.
-
-    "optimized" is batched with bipartite-matched non-interfering rounds and
-    a drain gap (paper §4.4).
-    """
-    rows = []
-    for strat, kwargs in [
-        ("all_at_once", {}),
-        ("fluid", {}),
-        ("optimized", {"gap_ticks": 2}),
-    ]:
+        max_lat, duration_s = steady.steady.max, None
+    else:
+        # under overload (the top rate) the migration cannot complete in
+        # bounded time — the paper's point is exactly that latency explodes
+        # there, so cap the wait at 20 s and report what was observed. The
+        # cap also cuts fluid short at every rate: at 16384e6 keys and 4096
+        # bins it needs ~57 s (Fig 18), so its duration reads None.
         run, rec = migrate_once(
             nominal_keys=nominal_keys,
             n_bins=n_bins,
-            strategy=strat,
+            strategy=strategy,
             rate=rate,
-            cost=cost,
-            **kwargs,
+            drain=False,
+            completion_timeout_s=20.0,
+            strict_completion=False,
         )
-        rows.append(_row(run, rec, nominal_keys=nominal_keys))
-    return rows
+        max_lat, duration_s = rec.max_latency_s or run.latency.max, rec.duration_s
+    return [
+        {
+            "rate": rate,
+            "strategy": strategy,
+            "max_latency_ms": max_lat * 1e3,
+            "duration_s": duration_s,
+        }
+    ]
+
+
+def memory_row(**kwargs) -> list[dict]:
+    """Fig 20: per-process resident memory during one :func:`migrate_once`.
+
+    Modelled RSS = base + state bytes + serialised bytes queued on the NIC.
+    Each column is maximised over the processes: steady-state GiB, the
+    migration peak, and the peak's overshoot above both the pre- and
+    post-migration level (the paper's Fig 20 shows the first timely
+    process, the one sending the most).
+    """
+    run, rec = migrate_once(sample_memory=True, **kwargs)
+    samples = np.array([s[1] for s in run.memory_samples])  # (ticks, procs)
+    per_proc_gib = samples / 2**30 + BASE_GIB_PER_PROCESS
+    head = max(1, len(per_proc_gib) // 10)
+    start = np.median(per_proc_gib[:head], axis=0)
+    end = np.median(per_proc_gib[-head:], axis=0)
+    peak = per_proc_gib.max(axis=0)
+    # transient overshoot: peak above both the pre- and post-migration
+    # resident level (relocated state is not an allocation spike)
+    overshoot = peak - np.maximum(start, end)
+    return [
+        {
+            "strategy": rec.strategy,
+            "steady_gib": float(start.max()),
+            "peak_gib": float(peak.max()),
+            "extra_gib": float(overshoot.max()),
+            "duration_s": rec.duration_s,
+        }
+    ]

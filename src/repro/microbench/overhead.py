@@ -26,8 +26,9 @@ def overhead_row(
     duration_s: float = 5.0,
     warmup_s: float = 1.0,
     cost: Optional[CostModel] = None,
-) -> dict:
-    """One row of a Fig 13b/14b/15b-style table."""
+) -> list[dict]:
+    """One row of a Fig 13b/14b/15b-style table (``log_bins=None`` with
+    ``impl="native"``)."""
     n_bins = 2**log_bins if log_bins is not None else 16
     run = run_count(
         impl=impl,
@@ -43,44 +44,5 @@ def overhead_row(
     row = {"experiment": "Native" if impl == "native" else str(log_bins)}
     row.update(percentile_table(run.steady))
     row["records"] = run.steady.total
-    return row
+    return [row]
 
-
-def overhead_table(
-    *,
-    flavour: str,
-    nominal_keys: float,
-    rate: float = 4e6,
-    log_bins: Optional[list[int]] = None,
-    duration_s: float = 5.0,
-    cost: Optional[CostModel] = None,
-) -> list[dict]:
-    """Full table: one Megaphone row per log-bin-count, plus Native."""
-    warmup_s = min(1.0, duration_s / 4)
-    rows = []
-    for lb in log_bins or PAPER_LOG_BINS:
-        rows.append(
-            overhead_row(
-                flavour=flavour,
-                impl="megaphone",
-                log_bins=lb,
-                nominal_keys=nominal_keys,
-                rate=rate,
-                duration_s=duration_s,
-                warmup_s=warmup_s,
-                cost=cost,
-            )
-        )
-    rows.append(
-        overhead_row(
-            flavour=flavour,
-            impl="native",
-            log_bins=None,
-            nominal_keys=nominal_keys,
-            rate=rate,
-            duration_s=duration_s,
-            warmup_s=warmup_s,
-            cost=cost,
-        )
-    )
-    return rows

@@ -9,6 +9,8 @@ batch — the Spark rendering of Figs 1/16.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 from pyspark.sql import SparkSession
 
@@ -77,3 +79,56 @@ def migration_timeline(
         "input_keys": np.concatenate(all_keys),
         "steps_unfinished": step_i < len(steps),
     }
+
+
+def spark_rows(
+    *, n_keys: int, batch_records: int, migrate_at_batch: int, n_batches: dict
+) -> list[dict]:
+    """One :func:`migration_timeline` row per strategy in ``n_batches``
+    (strategy -> batches), all on one fresh session after one warm-up."""
+    os.environ.setdefault(
+        "PYSPARK_SUBMIT_ARGS",
+        "--master local[*] --conf spark.ui.enabled=false pyspark-shell",
+    )
+    spark = (
+        SparkSession.builder.appName("repro-spark-engine")
+        .config("spark.sql.shuffle.partitions", "8")
+        .config("spark.ui.showConsoleProgress", "false")
+        .getOrCreate()
+    )
+    scale = dict(
+        n_workers=8,
+        n_bins=64,
+        n_keys=n_keys,
+        batch_records=batch_records,
+        migrate_at_batch=migrate_at_batch,
+    )
+    try:
+        # a session's first migration costs ~1.5-2 s more than later ones; pay
+        # it on a throwaway engine, moving bin 0 away and back, so that the
+        # strategy run first is not charged for it
+        warm = SparkMigratableCount(
+            spark, n_workers=scale["n_workers"], n_bins=scale["n_bins"]
+        )
+        warm.process_batch(np.arange(n_keys))
+        for owner in (1, 0):
+            warm.process_batch(np.arange(batch_records), moves=[(0, owner)])
+        rows = []
+        for strategy, batches in n_batches.items():
+            res = migration_timeline(
+                spark, strategy=strategy, n_batches=batches, **scale
+            )
+            rows.append(
+                {
+                    "strategy": strategy,
+                    "baseline_batch_s": res["baseline_s"],
+                    "peak_batch_s": res["peak_batch_s"],
+                    "spike_s": res["spike_s"],
+                    "total_migration_s": res["total_migration_s"],
+                    "migration_batches": res["migration_batches"],
+                    "moved_rows": res["moved_rows_total"],
+                }
+            )
+    finally:
+        spark.stop()
+    return rows

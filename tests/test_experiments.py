@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from repro.microbench.migration import (
-    headline_comparison,
-    memory_experiment,
+    STRATEGIES,
+    memory_row,
     migrate_once,
-    migration_sweep_bins,
+    migration_row,
 )
-from repro.microbench.overhead import overhead_row, overhead_table
+from repro.microbench.overhead import overhead_row
 from repro.timely.cost import CostModel
 
 
@@ -23,7 +23,7 @@ def cost():
 
 class TestOverheadShape:
     def test_row_schema(self):
-        row = overhead_row(
+        [row] = overhead_row(
             flavour="key",
             impl="megaphone",
             log_bins=8,
@@ -45,7 +45,7 @@ class TestOverheadShape:
         assert 0 < row["p90_ms"] <= row["max_ms"]
 
     def test_huge_bin_count_blows_up(self):
-        small = overhead_row(
+        [small] = overhead_row(
             flavour="key",
             impl="megaphone",
             log_bins=8,
@@ -55,7 +55,7 @@ class TestOverheadShape:
             warmup_s=0.25,
             cost=cost(),
         )
-        huge = overhead_row(
+        [huge] = overhead_row(
             flavour="key",
             impl="megaphone",
             log_bins=18,
@@ -69,15 +69,19 @@ class TestOverheadShape:
         assert huge["p90_ms"] > 10 * small["p90_ms"]
 
     def test_native_fastest(self):
-        rows = overhead_table(
-            flavour="key",
-            nominal_keys=64e6,
-            rate=500e3,
-            log_bins=[16],
-            duration_s=1.0,
-            cost=cost(),
-        )
-        by = {r["experiment"]: r for r in rows}
+        by = {}
+        for impl, log_bins in [("megaphone", 16), ("native", None)]:
+            [row] = overhead_row(
+                flavour="key",
+                impl=impl,
+                log_bins=log_bins,
+                nominal_keys=64e6,
+                rate=500e3,
+                duration_s=1.0,
+                warmup_s=0.25,
+                cost=cost(),
+            )
+            by[row["experiment"]] = row
         assert by["Native"]["p90_ms"] < by["16"]["p90_ms"]
 
 
@@ -137,14 +141,19 @@ class TestMigrationShape:
         assert lat[512] < lat[32]
 
     def test_sweep_bins_rows(self):
-        rows = migration_sweep_bins(
-            nominal_keys=256e6,
-            log_bins=[5],
-            rate=200e3,
-            strategies=["all_at_once", "batched", "fluid"],
-            cost=cost(),
-        )
+        rows = [
+            row
+            for strategy in STRATEGIES
+            for row in migration_row(
+                nominal_keys=256e6,
+                n_bins=2**5,
+                strategy=strategy,
+                rate=200e3,
+                cost=cost(),
+            )
+        ]
         assert len(rows) == 3
+        assert [r["log_bins"] for r in rows] == [5, 5, 5]
         assert all(r["duration_s"] is not None for r in rows)
 
     def test_proportional_fixed_latency(self):
@@ -190,19 +199,36 @@ class TestThroughputShape:
 
 class TestMemoryShape:
     def test_memory_rows(self):
-        rows = memory_experiment(
-            nominal_keys=1e9, n_bins=128, rate=200e3, cost=cost()
-        )
-        by = {r["strategy"]: r for r in rows}
+        by = {}
+        for strategy in STRATEGIES:
+            [row] = memory_row(
+                nominal_keys=1e9,
+                n_bins=128,
+                strategy=strategy,
+                rate=200e3,
+                cost=cost(),
+            )
+            by[strategy] = row
         assert by["all_at_once"]["extra_gib"] > 4 * by["fluid"]["extra_gib"]
 
 
 class TestHeadline:
     def test_fig1_ordering(self):
-        rows = headline_comparison(
-            nominal_keys=1e9, n_bins=512, rate=200e3, cost=cost()
-        )
-        by = {r["strategy"]: r for r in rows}
+        by = {}
+        for strategy, extra in [
+            ("all_at_once", {}),
+            ("fluid", {}),
+            ("optimized", {"gap_ticks": 2}),
+        ]:
+            [row] = migration_row(
+                nominal_keys=1e9,
+                n_bins=512,
+                strategy=strategy,
+                rate=200e3,
+                cost=cost(),
+                **extra,
+            )
+            by[strategy] = row
         # Fig 1: all-at-once has by far the highest max latency; fluid and
         # optimized are orders of magnitude below
         assert by["all_at_once"]["max_latency_ms"] > 10 * by["fluid"]["max_latency_ms"]

@@ -1,8 +1,10 @@
-"""Unit tests for Table 1 LOC counting, markdown table rendering, and the
-rule that no module is imported only by its own tests."""
+"""Unit tests for Table 1 LOC counting, markdown table rendering, the table
+registry and ``jobs/run_all.py``, and the rule that no module is imported
+only by its own tests."""
 import ast
 import importlib.util
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.nexmark.loc import PAPER_TABLE1, count_loc, loc_table
-from repro.tables import fmt, markdown_table
+from repro.tables import TABLES, Table, fmt, markdown_table
 
 ROOT = Path(__file__).resolve().parents[1]
 # modules whose only callers are the tests, by design: the DuckDB reference
@@ -105,43 +107,59 @@ class TestNoTestOnlyModules:
         assert not unused, f"imported only by tests (or nothing): {sorted(unused)}"
 
 
+def _one_row() -> list[dict]:
+    return [{"a": 1}]
+
+
+def _raise_boom() -> list[dict]:
+    raise RuntimeError("boom")
+
+
+def _load_run_all():
+    spec = importlib.util.spec_from_file_location("run_all", ROOT / "jobs" / "run_all.py")
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    return run_all
+
+
 class TestRunAll:
     def test_failed_job_fails_the_run_after_writing_tables(self, tmp_path, monkeypatch):
-        (tmp_path / "ok_job_for_test.py").write_text(
-            'TITLE = "ok"\n\ndef main(quick=False):\n    return [{"a": 1}], ["a"]\n'
+        run_all = _load_run_all()
+        monkeypatch.setattr(
+            run_all,
+            "TABLES",
+            {
+                "bad": Table("bad", ["a"], lambda quick: [(_raise_boom, {})]),
+                "ok": Table("ok", ["a"], lambda quick: [(_one_row, {})]),
+            },
         )
-        (tmp_path / "bad_job_for_test.py").write_text(
-            'TITLE = "bad"\n\ndef main(quick=False):\n    raise RuntimeError("boom")\n'
-        )
-        monkeypatch.syspath_prepend(str(tmp_path))
-        spec = importlib.util.spec_from_file_location("run_all", ROOT / "jobs" / "run_all.py")
-        run_all = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run_all)
         out = tmp_path / "tables.md"
         monkeypatch.setattr(
-            sys,
-            "argv",
-            ["run_all.py", "--only", "bad_job_for_test", "ok_job_for_test", "--out", str(out)],
+            sys, "argv", ["run_all.py", "--only", "bad", "ok", "--out", str(out)]
         )
-        try:
-            with pytest.raises(SystemExit) as exc:
-                run_all.main()
-        finally:
-            for name in ("ok_job_for_test", "bad_job_for_test"):
-                sys.modules.pop(name, None)
-        assert exc.value.code == "failed jobs: bad_job_for_test"
+        with pytest.raises(SystemExit) as exc:
+            run_all.main()
+        assert exc.value.code == "failed tables: bad"
         tables = out.read_text()
         assert "## bad\n\nFAILED:" in tables and "RuntimeError: boom" in tables
         assert "## ok\n\n| a |" in tables
 
+    def test_unknown_table_rejected(self, monkeypatch):
+        run_all = _load_run_all()
+        monkeypatch.setattr(sys, "argv", ["run_all.py", "--only", "fig99"])
+        with pytest.raises(SystemExit) as exc:
+            run_all.main()
+        assert exc.value.code == 2
+
 
 class TestJobsStandalone:
-    def test_job_runs_without_pythonpath(self):
-        """A job finds the ``repro`` package in ``src/`` by itself."""
+    def test_job_runs_without_pythonpath(self, tmp_path):
+        """``run_all.py`` finds the ``repro`` package in ``src/`` by itself,
+        and without ``--out`` writes no file."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         out = subprocess.run(
-            [sys.executable, "jobs/table1_nexmark_loc.py"],
-            cwd=ROOT,
+            [sys.executable, str(ROOT / "jobs" / "run_all.py"), "--only", "table1"],
+            cwd=tmp_path,
             env=env,
             capture_output=True,
             text=True,
@@ -149,3 +167,19 @@ class TestJobsStandalone:
         )
         assert out.returncode == 0, out.stderr
         assert "Table 1: NEXMark query implementations, lines of code" in out.stdout
+        assert "repro.nexmark.loc.loc_table {}" in out.stderr
+        assert not any(tmp_path.iterdir())
+
+
+class TestRegistry:
+    def test_points_pickle_as_module_level_repro_functions(self):
+        """Every point can be shipped to another process as it is."""
+        for key, table in TABLES.items():
+            for quick in (False, True):
+                points = table.points(quick)
+                assert points, key
+                for fn, kwargs in points:
+                    module = importlib.import_module(fn.__module__)
+                    assert fn.__module__.startswith("repro."), (key, fn)
+                    assert getattr(module, fn.__qualname__) is fn, (key, fn)
+                    assert pickle.loads(pickle.dumps((fn, kwargs))) == (fn, kwargs)

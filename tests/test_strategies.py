@@ -16,10 +16,10 @@ class TestAssignments:
         counts = np.bincount(a, minlength=16)
         assert np.all(counts == 4)
 
-    def test_migration_moves_quarter_of_state(self):
-        n_bins, W = 256, 16
-        moves = migration_moves(n_bins, W)
-        assert len(moves) == n_bins // 4  # 25% of total state
+    @pytest.mark.parametrize("n_bins, W, moved", [(256, 16, 64), (64, 16, 16), (16, 16, 8)])
+    def test_migration_moves_quarter_of_state(self, n_bins, W, moved):
+        # 25% of total state, except at one bin per worker: half of it
+        assert len(migration_moves(n_bins, W)) == moved
 
     def test_migration_moves_source_upper_half(self):
         n_bins, W = 256, 16
