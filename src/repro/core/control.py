@@ -82,12 +82,23 @@ class ConfigAuthority:
     def register(self, updates: Iterable[ControlUpdate]) -> None:
         self.table.apply_updates(updates)
 
-    def check(self, time: int, bins: np.ndarray, worker: int) -> None:
-        owners = self.table.lookup(time, bins)
-        if not (owners == worker).all():
-            bad = bins[owners != worker][:5]
+    def check(self, times, bins: np.ndarray, workers) -> None:
+        """Assert that each record ``i``, applied at ``times[i]`` on
+        ``workers[i]``, has its bin ``bins[i]`` there (scalars broadcast)."""
+        table = self.table
+        epochs = np.searchsorted(table.times, times, side="right") - 1
+        lo, hi = int(epochs.min()), int(epochs.max())
+        assert lo >= 0, f"check at {np.min(times)} precedes first epoch {table.times[0]}"
+        owners = table.tables[lo].take(bins)
+        for i in range(lo + 1, hi + 1):  # records at later epochs
+            at = epochs == i
+            owners[at] = table.tables[i].take(bins[at])
+        bad = np.flatnonzero(owners != workers)
+        if len(bad):
+            i = bad[0]
+            times, workers = np.broadcast_arrays(times, workers, bins)[:2]
             raise AssertionError(
-                f"Migration property violated: bins {bad.tolist()} applied at "
-                f"worker {worker} at time {time}, expected "
-                f"{owners[owners != worker][:5].tolist()}"
+                f"Migration property violated: bin {bins[i]} applied at worker "
+                f"{workers[i]} at time {times[i]}, expected worker {owners[i]} "
+                f"({len(bad)} records misplaced)"
             )

@@ -20,6 +20,13 @@ two-operator construction of Figure 3b:
 
 ``NativeOperator`` is the baseline: a single hand-partitioned stateful
 operator without bins, control input, or migration support.
+
+F sends each record's bin along (``Batch.bins``). S and the native operator
+share one receive path, :class:`_HostOperator`, which stages its ready
+instances once per pass: one concatenation and one Property-2 check of all
+their ripe records. Each instance's ``schedule`` then charges, in worker
+order. A batch entering a host's notificator must be later than every time
+that host applied.
 """
 from __future__ import annotations
 
@@ -84,26 +91,23 @@ def take_batch(batch: Batch, idx: np.ndarray | slice, nbytes: float = 0.0) -> Ba
         data={name: col[idx] for name, col in batch.data.items()},
         arrivals=None if batch.arrivals is None else batch.arrivals[idx],
         nbytes=nbytes,
+        bins=None if batch.bins is None else batch.bins[idx],
     )
 
 
-def _merge_batches(batches: list[Batch]) -> Batch:
-    """Concatenate same-timestamp batches into one (per-batch costs in the
-    simulator are per *apply*, so S consolidates its inbox per timestamp)."""
-    if len(batches) == 1:
-        return batches[0]
-    # timer/self-notification batches carry no arrivals; merge what exists
-    arrs = [b.arrivals for b in batches if b.arrivals is not None]
-    arr = np.concatenate(arrs) if arrs else None
-    return Batch(
-        time=batches[0].time,
-        data={
-            name: np.concatenate([b.data[name] for b in batches])
-            for name in batches[0].data
-        },
-        arrivals=arr,
-        nbytes=sum(b.nbytes for b in batches),
-    )
+def _bins_of(
+    batches: list[Batch], keys: np.ndarray, lens: list[int], bin_fn: Callable
+) -> np.ndarray:
+    """Bins of ``batches``' records: F's, and one ``bin_fn`` call for the rest."""
+    routed = [b.bins for b in batches if b.bins is not None]
+    if len(routed) == len(batches):
+        return np.concatenate(routed)
+    mask = np.array([b.bins is not None for b in batches]).repeat(lens)
+    bins = np.empty(len(keys), dtype=np.int64)
+    bins[~mask] = bin_fn(keys[~mask])
+    if routed:
+        bins[mask] = np.concatenate(routed)
+    return bins
 
 
 @dataclass
@@ -236,6 +240,7 @@ class _FInstance(OperatorInstance):
         order = np.argsort(workers, kind="stable")
         cols = {name: col[order] for name, col in batch.data.items()}
         arr = None if batch.arrivals is None else batch.arrivals[order]
+        bins = bins[order]
         per_rec_bytes = batch.nbytes / max(len(keys), 1)
         time, out = batch.time, mo.data_out_ch
         hi = 0
@@ -245,44 +250,116 @@ class _FInstance(OperatorInstance):
             lo, hi = hi, hi + n
             data = {name: col[lo:hi] for name, col in cols.items()}
             sub_arr = None if arr is None else arr[lo:hi]
-            ctx.send(out, w, Batch(time, data, sub_arr, per_rec_bytes * n))
+            ctx.send(out, w, Batch(time, data, sub_arr, per_rec_bytes * n, bins[lo:hi]))
+
+
+class _HostOperator(Operator):
+    """S or the native operator. ``owner`` supplies ``c_record``, ``bin_fn``
+    and ``authority``; with an authority, every applied record is checked."""
+
+    def __init__(self, sim: Simulation, name: str, owner):
+        super().__init__(sim, name)
+        self.owner = owner
+
+    def stage(self, t1: float) -> None:
+        # a time applies once it is behind every input's frontier
+        gate = None
+        for ch in self.input_channels:
+            gate = frontier_min(gate, ch.arrive_frontier)
+        busy = self.sim.worker_busy
+        groups = []  # (host, time, payloads), worker-major, then time order
+        for host in self.instances:
+            host.staged = busy[host.worker] < t1 and host.take_inputs(gate)
+            if host.staged:
+                groups += [(host, t, ps) for t, ps in host.notif.drain(gate)]
+        if not groups:
+            return
+        # records and arrivals per group (post-dated batches carry no
+        # arrivals; no batch is empty)
+        batches, arrs, lens, counts, acounts = [], [], [], [], []
+        for _, _, ps in groups:
+            n = na = 0
+            for b in ps:
+                batches.append(b)
+                k = len(b.data["k"])
+                lens.append(k)
+                n += k
+                if b.arrivals is not None:
+                    arrs.append(b.arrivals)
+                    na += k
+            counts.append(n)
+            acounts.append(na)
+        cols = {
+            name: np.concatenate([b.data[name] for b in batches])
+            for name in batches[0].data
+        }
+        arrivals = np.concatenate(arrs) if arrs else None
+        lo = alo = 0
+        for (host, t, _), n, na in zip(groups, counts, acounts):
+            host.cols = cols  # sliced per time as it applies, to bound memory
+            host.ripe.append((t, lo, n, arrivals[alo : alo + na] if na else None))
+            lo += n
+            alo += na
+        owner = self.owner
+        if owner.authority is not None:
+            owner.authority.check(
+                np.array([t for _, t, _ in groups]).repeat(counts),
+                _bins_of(batches, cols["k"], lens, owner.bin_fn),
+                np.array([host.worker for host, _, _ in groups]).repeat(counts),
+            )
 
 
 class _LogicHost(OperatorInstance):
-    """One worker's logic L and its extended Notificator: the apply loop
-    shared by S and the native operator. ``owner`` supplies ``c_record``
-    and ``authority``; with an authority, every applied batch is checked
-    against the configuration (Property 2)."""
+    """One worker's logic L and its extended Notificator, for S and the
+    native operator: staging runs ``take_inputs``, ``schedule`` applies."""
 
-    def __init__(self, owner, worker: int):
+    def __init__(self, owner, worker: int, data_ch: Channel):
         self.owner = owner
+        self.data_ch = data_ch
         self.logic = owner.logic_factory(worker)
         self.notif = Notificator()
+        self.held_times = self.notif.held_times
+        self.applied = -1  # the last time applied
+        self.installs: list[float] = []  # nbytes of each state installed
+        self.staged = False
+        self.cols: dict = {}  # the last staged pass's concatenated ripe records
+        self.ripe: list[tuple] = []  # (time, first record, records, arrivals)
 
-    def held_times(self) -> list[int]:
-        t = self.notif.min_time()
-        return [] if t is None else [t]
+    def enqueue(self, t: int, batch: Batch) -> None:
+        assert t > self.applied, (
+            f"{self.op.name}[{self.worker}]: batch at {t} arrived after time "
+            f"{self.applied} was applied (late arrival)"
+        )
+        self.notif.notify_at(t, batch)
 
-    def apply_ripe(self, ctx: Ctx, gate: Optional[float]) -> bool:
-        """Apply ripe batches in timestamp order, one merged batch per time;
-        return True if any was applied."""
-        owner = self.owner
-        by_time: dict[int, list[Batch]] = {}
-        for t, batch in self.notif.ripe(gate):
-            by_time.setdefault(t, []).append(batch)
-        for t, batches in by_time.items():  # ripe() yields in time order
-            batch = _merge_batches(batches)
-            if owner.authority is not None:
-                keys = batch.data["k"]
-                owner.authority.check(t, owner.bin_fn(keys), self.worker)
-            self.logic.apply(t, batch.data)
-            ctx.charge(len(batch.data["k"]) * owner.c_record)
-            if batch.arrivals is not None:
-                ctx.record_latency(batch.arrivals)
-            for pt, pdata in self.logic.take_postdated():
-                assert pt > t, f"post-dated record at {pt} not after {t}"
-                self.notif.notify_at(pt, Batch(time=pt, data=pdata))
-        return bool(by_time)
+    def take_inputs(self, gate: Optional[float]) -> bool:
+        """Enqueue arrived data; True if there is work for ``schedule``."""
+        got = self.data_ch.take(self.worker)
+        for db in got:
+            self.enqueue(db.time, db)
+        if got:
+            return True
+        mn = self.notif.min_time()
+        return mn is not None and (gate is None or mn < gate)
+
+    def schedule(self, ctx: Ctx) -> bool:
+        if not self.staged:
+            return False
+        deser_bw = ctx.sim.cost.deser_bw
+        for nbytes in self.installs:
+            ctx.charge(nbytes / deser_bw)
+        self.installs = []
+        c_record, logic = self.owner.c_record, self.logic
+        for t, lo, n, arrivals in self.ripe:
+            logic.apply(t, {name: col[lo : lo + n] for name, col in self.cols.items()})
+            ctx.charge(n * c_record)
+            if arrivals is not None:
+                ctx.record_latency(arrivals)
+            self.applied = t
+            for pt, pdata in logic.take_postdated():
+                self.enqueue(pt, Batch(time=pt, data=pdata))
+        self.ripe = []
+        return True
 
 
 class _SInstance(_LogicHost):
@@ -296,8 +373,9 @@ class _SInstance(_LogicHost):
 
         def split(batches: list[Batch]) -> list[tuple]:
             keys = [bt.data["k"] for bt in batches]
-            in_bin = bin_fn(np.concatenate(keys)) == b
-            ends = np.cumsum([len(k) for k in keys])
+            lens = [len(k) for k in keys]
+            in_bin = _bins_of(batches, np.concatenate(keys), lens, bin_fn) == b
+            ends = np.cumsum(lens)
             parts = []
             for bt, mask in zip(batches, np.split(in_bin, ends[:-1])):
                 if not mask.any():
@@ -315,41 +393,29 @@ class _SInstance(_LogicHost):
         # Fig 20 all-at-once memory spike); release happens at install time.
         return payload, nbytes, moved
 
-    def schedule(self, ctx: Ctx) -> bool:
-        mo, sim = self.owner, ctx.sim
-        # batches apply once their time is behind both inputs' frontiers
-        gate = frontier_min(mo.data_out_ch.arrive_frontier, mo.state_ch.arrive_frontier)
-        # fast path: no queued input and no ripe pending work
-        if (
-            not mo.state_ch.queues[self.worker]
-            and not mo.data_out_ch.queues[self.worker]
-        ):
-            mn = self.notif.min_time()
-            if mn is None or (gate is not None and mn >= gate):
-                return False
-        did = False
-        # 1. install migrated state immediately (paper §3.4)
-        for sb in mo.state_ch.take(self.worker):
+    def take_inputs(self, gate: Optional[float]) -> bool:
+        """Install migrated state immediately (paper §3.4), then enqueue data."""
+        sim = self.op.sim
+        for sb in self.owner.state_ch.take(self.worker):
             b, payload, pending, src_worker = sb.data
             self.logic.install_bin(b, payload, sb.nbytes)
             for t, pb in pending:
-                self.notif.notify_at(t, pb)
-            ctx.charge(sb.nbytes / sim.cost.deser_bw)
-            sim.state_bytes[sim.cost.process_of(src_worker)] -= sb.nbytes
-            sim.state_bytes[sim.cost.process_of(self.worker)] += sb.nbytes
-            did = True
-        # 2. enqueue data
-        for db in mo.data_out_ch.take(self.worker):
-            self.notif.notify_at(db.time, db)
-            did = True
-        # 3. apply ripe batches in timestamp order
-        if self.apply_ripe(ctx, gate):
-            did = True
-        # 4. per-iteration maintenance: scan of local bins / routing state
-        if did and sim.tick_index != self._last_maintained_tick:
+                self.enqueue(t, pb)
+            sim.state_bytes[sim.process_of[src_worker]] -= sb.nbytes
+            sim.state_bytes[sim.process_of[self.worker]] += sb.nbytes
+            self.installs.append(sb.nbytes)
+        return super().take_inputs(gate) or bool(self.installs)
+
+    def schedule(self, ctx: Ctx) -> bool:
+        if not self.staged:
+            return False
+        super().schedule(ctx)
+        # per-iteration maintenance: scan of local bins / routing state
+        sim = ctx.sim
+        if sim.tick_index != self._last_maintained_tick:
             self._last_maintained_tick = sim.tick_index
             ctx.charge(sim.cost.maintenance(self.logic.owned_bins()))
-        return did
+        return True
 
 
 class MigratableOperator:
@@ -378,25 +444,14 @@ class MigratableOperator:
 
         self.f_op = Operator(sim, f"{name}.F")
         self.f_op.held_times = self.shared.held_times
-        self.s_op = Operator(sim, f"{name}.S")
+        self.s_op = _HostOperator(sim, f"{name}.S", self)
         self.data_ch = Channel(f"{name}.data_in", data_input, self.f_op)
         self.control_ch = Channel(f"{name}.control", control_input, self.f_op)
         self.data_out_ch = Channel(f"{name}.data", self.f_op, self.s_op)
         self.state_ch = Channel(f"{name}.state", self.f_op, self.s_op)
         self.f_op.add_instances(lambda w: _FInstance(self, w))
-        self.s_op.add_instances(lambda w: _SInstance(self, w))
+        self.s_op.add_instances(lambda w: _SInstance(self, w, self.data_out_ch))
         self.probe = Probe(self.s_op)
-
-
-class _NativeInstance(_LogicHost):
-    def schedule(self, ctx: Ctx) -> bool:
-        did = False
-        for db in self.owner.data_ch.take(self.worker):
-            self.notif.notify_at(db.time, db)
-            did = True
-        if self.apply_ripe(ctx, self.owner.data_ch.arrive_frontier):
-            did = True
-        return did
 
 
 class NativeOperator:
@@ -415,7 +470,7 @@ class NativeOperator:
         self.logic_factory = logic_factory
         self.c_record = c_record
         self.authority = None
-        self.op = Operator(sim, f"{name}.native")
+        self.op = _HostOperator(sim, f"{name}.native", self)
         self.data_ch = Channel(f"{name}.data_in", data_input, self.op)
-        self.op.add_instances(lambda w: _NativeInstance(self, w))
+        self.op.add_instances(lambda w: _LogicHost(self, w, self.data_ch))
         self.probe = Probe(self.op)

@@ -31,6 +31,7 @@ def migration_timeline(
     seed: int = 0,
 ) -> dict:
     """Run the timeline; returns batch metrics, summary and final counts.
+    Raises ``ValueError`` if the plan has steps left after ``n_batches``.
 
     Batch 0 loads one instance of every key (the paper's §5.2 methodology),
     so state size — and hence per-step movement volume — is comparable
@@ -57,6 +58,11 @@ def migration_timeline(
         m["batch"] = b
         m["migrating"] = step is not None
         timeline.append(m)
+    if step_i < len(steps):
+        raise ValueError(
+            f"{strategy}: {n_batches} batches from batch {migrate_at_batch} "
+            f"run {step_i} of the plan's {len(steps)} steps"
+        )
     baseline = float(
         np.median([m["batch_s"] for m in timeline if not m["migrating"]])
     )
@@ -77,15 +83,15 @@ def migration_timeline(
         "moved_rows_total": int(sum(m["moved_rows"] for m in mig_batches)),
         "engine": eng,
         "input_keys": np.concatenate(all_keys),
-        "steps_unfinished": step_i < len(steps),
     }
 
 
 def spark_rows(
-    *, n_keys: int, batch_records: int, migrate_at_batch: int, n_batches: dict
+    *, n_keys: int, batch_records: int, migrate_at_batch: int, tail_batches: int
 ) -> list[dict]:
-    """One :func:`migration_timeline` row per strategy in ``n_batches``
-    (strategy -> batches), all on one fresh session after one warm-up."""
+    """One :func:`migration_timeline` row per strategy, all on one fresh
+    session after one warm-up. Each strategy runs ``migrate_at_batch``
+    batches, one batch per step of its plan, then ``tail_batches``."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --conf spark.ui.enabled=false pyspark-shell",
@@ -114,9 +120,14 @@ def spark_rows(
         for owner in (1, 0):
             warm.process_batch(np.arange(batch_records), moves=[(0, owner)])
         rows = []
-        for strategy, batches in n_batches.items():
+        moves = migration_moves(scale["n_bins"], scale["n_workers"])
+        for strategy in ("all_at_once", "batched", "fluid"):
+            steps = len(plan_steps(moves, strategy))
             res = migration_timeline(
-                spark, strategy=strategy, n_batches=batches, **scale
+                spark,
+                strategy=strategy,
+                n_batches=migrate_at_batch + steps + tail_batches,
+                **scale,
             )
             rows.append(
                 {

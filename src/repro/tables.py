@@ -248,11 +248,7 @@ TABLES: dict[str, Table] = {
                     n_keys=50_000 if quick else 2_000_000,
                     batch_records=20_000 if quick else 200_000,
                     migrate_at_batch=3 if quick else 6,
-                    n_batches=(
-                        {"all_at_once": 6, "batched": 8, "fluid": 22}
-                        if quick
-                        else {"all_at_once": 14, "batched": 16, "fluid": 26}
-                    ),
+                    tail_batches=2 if quick else 4,
                 ),
             )
         ],

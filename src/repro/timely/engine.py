@@ -21,11 +21,16 @@ Simulated time is float seconds. Each worker has a clock (``busy_until``);
 scheduling runs in ticks of ``cost.tick`` seconds. Cross-process messages
 queue on the sending process's NIC (bandwidth ``cost.nic_bw``), which is what
 produces both the all-at-once latency spike and its memory spike (paper §5.3.5).
-Latencies recorded during a tick are applied to ``Simulation.latency`` and
-the open ``latency_windows`` once, at the end of that tick.
+``Ctx.record_latency`` keeps ``(now, arrivals)``; the tick's end subtracts
+them all in one numpy operation and records them in ``Simulation.latency``
+and the open ``latency_windows``.
 
-On the per-message path ``Batch`` and ``Ctx`` are slotted, and ``Ctx.send``
-reads ``Simulation.process_of``, the worker→process table computed once.
+Bookkeeping is per pass and per logical time, not per message: a channel
+counts its undelivered and queued messages per time (a frontier is a
+``min`` over a few distinct times) and moves the messages due with one sort
+on ``(deliver_time, seq)``; an operator may ``stage`` work for all its
+instances before they run in a pass. ``recompute_frontiers`` checks that no
+frontier goes back and that a closed one stays closed.
 
 This is a simulation substrate: numbers it produces are governed by the
 calibrated :class:`repro.timely.cost.CostModel`, but the *data* flowing
@@ -64,18 +69,20 @@ class Batch:
     their event time falls in); ``arrivals`` carries each record's exact
     arrival in simulated seconds for latency measurement. ``data`` is
     workload-defined (dict of numpy arrays, pandas DataFrame, or state
-    payloads); ``nbytes`` is the modelled wire size.
+    payloads); ``nbytes`` is the modelled wire size; ``bins`` holds the
+    records' bins if the sender computed them.
     """
 
     time: int
     data: Any
     arrivals: Optional[np.ndarray] = None
     nbytes: float = 0.0
+    bins: Optional[np.ndarray] = None
 
 
 class _InFlight(NamedTuple):
-    """Heap entry of a message in flight; ``seq`` is unique, so entries
-    order by (deliver_time, seq) and the batch is never compared."""
+    """A message in flight; ``seq`` is unique, so messages order by
+    (deliver_time, seq) and the batch is never compared."""
 
     deliver_time: float
     seq: int
@@ -83,34 +90,9 @@ class _InFlight(NamedTuple):
     batch: Batch
 
 
-class _TimeSet:
-    """Multiset of logical times with O(log n) min (lazy-deletion heap); a
-    time is pushed when its count goes from 0 to 1."""
-
-    def __init__(self) -> None:
-        self._counts: dict[int, int] = {}
-        self._heap: list = []
-
-    def add(self, t: int) -> None:
-        c = self._counts.get(t, 0)
-        self._counts[t] = c + 1
-        if not c:
-            heapq.heappush(self._heap, t)
-
-    def remove(self, t: int) -> None:
-        c = self._counts[t] - 1
-        if c:
-            self._counts[t] = c
-        else:
-            del self._counts[t]
-
-    def min(self) -> Optional[int]:
-        while self._heap and self._counts.get(self._heap[0], 0) == 0:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
-
-    def __len__(self) -> int:
-        return sum(self._counts.values())
+# builds an _InFlight from a tuple without the NamedTuple constructor's
+# Python-level __new__ (one per message sent)
+_tuple_new = tuple.__new__
 
 
 class Channel:
@@ -128,9 +110,13 @@ class Channel:
         self.src = src
         self.dst = dst
         self.queues: list[list[Batch]] = [[] for _ in range(dst.sim.workers)]
+        # sent since the last delivery (unordered); those not due then wait
+        # in the heap ``_later``
         self.in_flight: list[_InFlight] = []
-        self.undelivered = _TimeSet()
-        self.queued = _TimeSet()  # delivered but not yet consumed
+        self._later: list[_InFlight] = []
+        # message counts per time: undelivered, delivered but not consumed
+        self.undelivered: dict[int, int] = {}
+        self.queued: dict[int, int] = {}
         # gate_frontier: min time that is not yet fully processed on this
         # edge (includes delivered-but-unconsumed) — drives downstream
         # progress. arrive_frontier: min time that may still *arrive* at the
@@ -151,31 +137,54 @@ class Channel:
 
     # -- message lifecycle -------------------------------------------------
     def send(self, dst_worker: int, batch: Batch, deliver_time: float, seq: int) -> None:
-        heapq.heappush(
-            self.in_flight, _InFlight(deliver_time, seq, dst_worker, batch)
-        )
-        self.undelivered.add(batch.time)
+        self.in_flight.append(_tuple_new(_InFlight, (deliver_time, seq, dst_worker, batch)))
+        u, t = self.undelivered, batch.time
+        u[t] = u.get(t, 0) + 1
 
     def deliver_due(self, now: float) -> None:
-        in_flight = self.in_flight
-        while in_flight and in_flight[0][0] <= now:
-            _, _, dst_worker, batch = heapq.heappop(in_flight)
-            self.undelivered.remove(batch.time)
-            self.queued.add(batch.time)
-            self.queues[dst_worker].append(batch)
+        """Queue every message due by ``now`` at its destination, in
+        (deliver_time, seq) order."""
+        due, later = [], self._later
+        if self.in_flight:
+            for m in self.in_flight:
+                if m[0] <= now:
+                    due.append(m)
+                else:
+                    heapq.heappush(later, m)
+            self.in_flight = []
+        while later and later[0][0] <= now:
+            due.append(heapq.heappop(later))
+        if not due:
+            return
+        due.sort()
+        u, q, queues = self.undelivered, self.queued, self.queues
+        for _, _, w, batch in due:
+            t = batch.time
+            c = u[t] - 1
+            if c:
+                u[t] = c
+            else:
+                del u[t]
+            q[t] = q.get(t, 0) + 1
+            queues[w].append(batch)
 
     def take(self, worker: int) -> list[Batch]:
         got = self.queues[worker]
         if got:
             self.queues[worker] = []
+            q = self.queued
             for b in got:
-                self.queued.remove(b.time)
+                c = q[b.time] - 1
+                if c:
+                    q[b.time] = c
+                else:
+                    del q[b.time]
         return got
 
     def set_frontiers(self, src_f: Optional[float]) -> None:
         """Recompute both frontiers from the source's frontier ``src_f``."""
-        self.arrive_frontier = f = frontier_min(src_f, self.undelivered.min())
-        self.gate_frontier = frontier_min(f, self.queued.min())
+        self.arrive_frontier = f = frontier_min(src_f, min(self.undelivered, default=None))
+        self.gate_frontier = frontier_min(f, min(self.queued, default=None))
 
 
 class Operator:
@@ -192,6 +201,9 @@ class Operator:
     def held_times(self) -> list[int]:
         """Capabilities of state shared by all instances, asked once."""
         return []
+
+    def stage(self, t1: float) -> None:
+        """Per-pass work before the instances whose worker is free by ``t1`` run."""
 
     def add_instances(self, factory: Callable[[int], "OperatorInstance"]) -> None:
         for w in range(self.sim.workers):
@@ -280,18 +292,21 @@ class _Nic:
         self.bw = bw
         self.latency = latency
         self.busy_until = 0.0
-        self.queued: list[tuple[float, float]] = []  # (drain_time, bytes)
+        self.queued: list[tuple[float, float]] = []  # (drain_time, bytes), in order
 
     def transmit(self, now: float, nbytes: float) -> float:
         start = max(now, self.busy_until)
         self.busy_until = start + nbytes / self.bw
-        heapq.heappush(self.queued, (self.busy_until, nbytes))
+        self.queued.append((self.busy_until, nbytes))
         return self.busy_until + self.latency
 
     def drop_drained(self, now: float) -> None:
         """Forget the transfers that have left the NIC by ``now``."""
-        while self.queued and self.queued[0][0] <= now:
-            heapq.heappop(self.queued)
+        q = self.queued  # in drain order: busy_until never decreases
+        n = 0
+        while n < len(q) and q[n][0] <= now:
+            n += 1
+        del q[:n]
 
     def queued_bytes(self, now: float) -> float:
         self.drop_drained(now)
@@ -323,8 +338,8 @@ class Ctx:
         channel.send(dst_worker, batch, deliver, next(sim._seq))
 
     def record_latency(self, arrivals: np.ndarray) -> None:
-        """Record ``now - arrivals``; applied to the histograms at tick end."""
-        self.sim.tick_latency.append(self.now - arrivals)
+        """Record ``now - arrivals``; subtracted and applied at tick end."""
+        self.sim.tick_latency.append((self.now, arrivals))
 
 
 class Simulation:
@@ -354,9 +369,9 @@ class Simulation:
         self.channels: list[Channel] = []
         self.latency = LatencyHistogram()
         self.latency_windows: list[LatencyHistogram] = []
-        # latencies recorded during the current tick; windows open and close
-        # only in on_tick callbacks, so one flush per tick is exact
-        self.tick_latency: list[np.ndarray] = []
+        # (now, arrivals) recorded during the current tick; windows open and
+        # close only in on_tick callbacks, so one flush per tick is exact
+        self.tick_latency: list[tuple[float, np.ndarray]] = []
         self.tick_index = 0
         self._seq = itertools.count()
         self.on_tick: list[Callable[["Simulation", float], None]] = []
@@ -370,16 +385,21 @@ class Simulation:
     def recompute_frontiers(self) -> None:
         """Propagate could-produce frontiers through the DAG in one pass: in
         topological order every source's ``could_produce`` is current when
-        its channel is set."""
+        its channel is set. No frontier goes back or reopens."""
         for op in self.operators:
             f = None
             for ch in op.input_channels:
                 ch.set_frontiers(ch.src.could_produce)
                 f = frontier_min(f, ch.gate_frontier)
-            for holder in (op, *op.instances):
-                held = holder.held_times()
-                if held:
-                    f = frontier_min(f, min(held))
+            held = list(op.held_times())
+            for inst in op.instances:
+                held += inst.held_times()
+            if held:
+                f = frontier_min(f, min(held))
+            old = op.could_produce
+            assert f is None or (old is not None and f >= old), (
+                f"{op.name}: frontier went back from {old} to {f}"
+            )
             op.could_produce = f
 
     # -- main loop ---------------------------------------------------------
@@ -395,6 +415,7 @@ class Simulation:
                 ch.deliver_due(t1)
             self.recompute_frontiers()
             for op in self.operators:
+                op.stage(t1)
                 for inst in op.instances:
                     w = inst.worker
                     busy = worker_busy[w]
@@ -405,8 +426,9 @@ class Simulation:
                         worker_busy[w] = ctx.now
         self.recompute_frontiers()
         if self.tick_latency:
-            lat = np.concatenate(self.tick_latency)
+            nows, arrivals = zip(*self.tick_latency)
             self.tick_latency = []
+            lat = np.repeat(nows, [len(a) for a in arrivals]) - np.concatenate(arrivals)
             idx = LatencyHistogram.index(lat)
             self.latency.record(lat, idx)
             for w in self.latency_windows:

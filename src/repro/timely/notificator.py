@@ -5,6 +5,9 @@ to buffer full ``(time, data)`` pending work in a priority queue so that the
 pending records travel with the state during a migration. Here each entry is
 a :class:`repro.timely.engine.Batch`-like payload keyed by logical time.
 
+Pending work is keyed by time: a heap of the distinct times, and each
+time's payloads in arrival order.
+
 The notificator doubles as the operator's capability set: its pending times
 are reported through ``held_times`` and hold the output frontier back until
 the work is done.
@@ -16,40 +19,61 @@ from typing import Any, Callable, Iterator, Optional
 
 
 class Notificator:
-    """Priority queue of (time, payload) pending work, replayable by frontier."""
+    """Pending (time, payload) work by time, replayable by frontier."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Any]] = []
-        self._seq = 0
+        self._times: list[int] = []  # heap of the distinct pending times
+        self._pending: dict[int, list] = {}  # time -> payloads in arrival order
 
     def notify_at(self, time: int, payload: Any) -> None:
-        heapq.heappush(self._heap, (time, self._seq, payload))
-        self._seq += 1
+        got = self._pending.get(time)
+        if got is None:
+            self._pending[time] = [payload]
+            heapq.heappush(self._times, time)
+        else:
+            got.append(payload)
 
     def min_time(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
+        return self._times[0] if self._times else None
 
-    def ripe(self, frontier: Optional[float]) -> Iterator[tuple[int, Any]]:
-        """Drain entries whose time is *not in advance of* ``frontier``.
+    def held_times(self) -> list[int]:
+        return self._times[:1]
+
+    def drain(self, frontier: Optional[float]) -> list[tuple[int, list]]:
+        """Remove and return the times *not in advance of* ``frontier`` as
+        ``(time, [payloads])`` in time order, payloads in arrival order.
 
         ``frontier`` is the minimum time that may still arrive (None =
-        closed input: everything is ripe). Entries come out in time order.
+        closed input: everything is ripe).
         """
-        while self._heap and (frontier is None or self._heap[0][0] < frontier):
-            t, _, payload = heapq.heappop(self._heap)
-            yield t, payload
+        times, out = self._times, []
+        while times and (frontier is None or times[0] < frontier):
+            t = heapq.heappop(times)
+            out.append((t, self._pending.pop(t)))
+        return out
+
+    def ripe(self, frontier: Optional[float]) -> Iterator[tuple[int, Any]]:
+        """:meth:`drain` as ``(time, payload)`` entries."""
+        return ((t, p) for t, ps in self.drain(frontier) for p in ps)
 
     def split(self, parts: Callable[[list], list[tuple]]) -> list[tuple[int, Any]]:
         """Split all pending entries in one call (used when migrating a bin):
-        ``parts`` maps the payloads, in (time, seq) order, to one (moved,
-        kept) pair each, either may be None. Kept parts stay pending at their
-        (time, seq); moved parts are returned as (time, payload) in order."""
-        if not self._heap:
+        ``parts`` maps the payloads, in (time, arrival) order, to one (moved,
+        kept) pair each, either may be None. Kept parts stay pending in
+        order; moved parts are returned as (time, payload) in order."""
+        if not self._times:
             return []
-        self._heap.sort()  # a sorted list is a heap; seq is unique
-        pairs = list(zip(self._heap, parts([p for _, _, p in self._heap])))
-        self._heap = [(t, s, k) for (t, s, _), (_, k) in pairs if k is not None]
-        return [(t, m) for (t, _, _), (m, _) in pairs if m is not None]
+        self._times.sort()  # a sorted list is a heap
+        entries = [(t, p) for t in self._times for p in self._pending[t]]
+        moved, pending = [], {}
+        for (t, _), (m, k) in zip(entries, parts([p for _, p in entries])):
+            if m is not None:
+                moved.append((t, m))
+            if k is not None:
+                pending.setdefault(t, []).append(k)
+        self._pending = pending
+        self._times = [t for t in self._times if t in pending]
+        return moved
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return sum(map(len, self._pending.values()))

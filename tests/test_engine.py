@@ -16,7 +16,6 @@ from repro.timely.engine import (
     Probe,
     Simulation,
     _Nic,
-    _TimeSet,
     frontier_min,
 )
 
@@ -87,53 +86,95 @@ class TestFrontierMin:
         assert frontier_min(None, None) is None
 
 
-class TestTimeSet:
-    def test_min_with_lazy_deletion(self):
-        ts = _TimeSet()
-        ts.add(5)
-        ts.add(3)
-        ts.add(3)
-        assert ts.min() == 3
-        ts.remove(3)
-        assert ts.min() == 3
-        ts.remove(3)
-        assert ts.min() == 5
-        ts.remove(5)
-        assert ts.min() is None
+class TestChannelCounts:
+    """A channel counts its undelivered and queued messages per logical
+    time; ``set_frontiers`` takes the minimum over those times."""
 
-    def test_len(self):
-        ts = _TimeSet()
-        ts.add(1)
-        ts.add(1)
-        assert len(ts) == 2
+    def test_frontiers_follow_counts(self):
+        sim, inp, op, ch, insts = build_sim()
+        for seq, (w, t) in enumerate([(0, 5), (0, 3), (1, 3)]):
+            ch.send(w, Batch(time=t, data=None), 0.0, seq)
+        ch.set_frontiers(None)
+        assert ch.arrive_frontier == ch.gate_frontier == 3
+        ch.deliver_due(0.0)
+        ch.set_frontiers(None)
+        assert ch.arrive_frontier is None and ch.gate_frontier == 3
+        ch.take(0)  # the 5 and one 3
+        ch.set_frontiers(None)
+        assert ch.gate_frontier == 3
+        ch.take(1)
+        ch.set_frontiers(9)
+        assert ch.arrive_frontier == ch.gate_frontier == 9
 
-    def test_readd_while_stale_entry_remains(self):
-        ts = _TimeSet()
-        ts.add(4)
-        ts.add(2)
-        ts.remove(2)  # the heap entry for 2 stays until min() pops it
-        ts.add(2)
-        assert ts.min() == 2
-        ts.remove(2)
-        assert ts.min() == 4
+    def test_counts(self):
+        sim, inp, op, ch, insts = build_sim()
+        ch.send(0, Batch(time=1, data=None), 0.0, 0)
+        ch.send(2, Batch(time=1, data=None), 0.5, 1)
+        assert ch.undelivered == {1: 2} and ch.queued == {}
+        ch.deliver_due(0.0)
+        assert ch.undelivered == {1: 1} and ch.queued == {1: 1}
+        ch.deliver_due(1.0)
+        ch.take(0)
+        assert ch.undelivered == {} and ch.queued == {1: 1}
 
-    def test_min_matches_sorted_multiset(self):
+    def test_readd_after_take(self):
+        sim, inp, op, ch, insts = build_sim()
+        ch.send(0, Batch(time=4, data=None), 0.0, 0)
+        ch.send(0, Batch(time=2, data=None), 1.0, 1)
+        ch.deliver_due(1.0)
+        ch.take(0)
+        ch.send(1, Batch(time=2, data=None), 2.0, 2)
+        ch.set_frontiers(None)
+        assert ch.arrive_frontier == ch.gate_frontier == 2
+        ch.deliver_due(2.0)
+        ch.take(1)
+        ch.set_frontiers(None)
+        assert ch.gate_frontier is None
+
+    def test_frontiers_match_sorted_multiset(self):
+        """Random sends (some due later), deliveries and takes against a
+        model: sorted undelivered and queued times, and each worker's queue
+        in (deliver_time, seq) order."""
         rng = np.random.default_rng(0)
-        ts, model = _TimeSet(), []
+        sim, inp, op, ch, insts = build_sim()
+        undelivered, queued = [], []  # sorted times
+        in_flight = []  # (deliver_time, seq, worker, time)
+        queues = [[] for _ in range(sim.workers)]
+        now, seq = 0.0, 0
         for _ in range(3000):
-            if model and rng.random() < 0.5:
-                t = model.pop(int(rng.integers(len(model))))
-                ts.remove(t)
-            else:
+            r = rng.random()
+            if r < 0.5:
                 t = int(rng.integers(0, 16))
-                bisect.insort(model, t)
-                ts.add(t)
-            # min() pops stale entries; calling it only sometimes lets
-            # removed and re-added times pile up in the heap
-            if rng.random() < 0.3:
-                assert ts.min() == (model[0] if model else None)
-        assert ts.min() == (model[0] if model else None)
-        assert len(ts) == len(model)
+                w = int(rng.integers(sim.workers))
+                d = now + float(rng.choice([0.0, 0.5, 2.0]))
+                ch.send(w, Batch(time=t, data=seq), d, seq)
+                in_flight.append((d, seq, w, t))
+                bisect.insort(undelivered, t)
+                seq += 1
+            elif r < 0.75:
+                now += float(rng.choice([0.0, 0.5, 1.0]))
+                ch.deliver_due(now)
+                due = sorted(m for m in in_flight if m[0] <= now)
+                in_flight = [m for m in in_flight if m[0] > now]
+                for _, sq, w, t in due:
+                    undelivered.remove(t)
+                    bisect.insort(queued, t)
+                    queues[w].append((t, sq))
+            else:
+                w = int(rng.integers(sim.workers))
+                got = ch.take(w)
+                assert [(b.time, b.data) for b in got] == queues[w]
+                for t, _ in queues[w]:
+                    queued.remove(t)
+                queues[w] = []
+            src_f = None if rng.random() < 0.2 else int(rng.integers(0, 20))
+            ch.set_frontiers(src_f)
+            arrive = min([t for t in (src_f,) if t is not None] + undelivered[:1], default=None)
+            gate = min([t for t in (arrive,) if t is not None] + queued[:1], default=None)
+            assert ch.arrive_frontier == arrive
+            assert ch.gate_frontier == gate
+        assert sum(ch.undelivered.values()) == len(undelivered)
+        assert sum(ch.queued.values()) == len(queued)
 
 
 class TestNic:

@@ -214,22 +214,29 @@ class TestApplyCharge:
         data = {c: np.zeros(n, dtype=np.int64) for c in "kwxyz"}
         return Batch(time=0, data=data, arrivals=np.zeros(n) if arrivals else None)
 
+    @staticmethod
+    def _apply(sim, host):
+        """Close the input, so that every pending time is ripe, stage the
+        operator and schedule the host; return the host's clock."""
+        sim.inputs[0].close()
+        sim.recompute_frontiers()
+        host.op.stage(sim.cost.tick)
+        ctx = Ctx(sim, 0, 0.0)
+        assert host.schedule(ctx)
+        return ctx.now
+
     def test_timer_only_apply_charges_per_timer(self):
         sim, host = self._host()
         host.notif.notify_at(0, self._records(3))
-        ctx = Ctx(sim, 0, 0.0)
-        assert host.apply_ripe(ctx, 1)
+        assert self._apply(sim, host) == pytest.approx(3 * self.C_RECORD)
         assert host.logic.applied == [3]
-        assert ctx.now == pytest.approx(3 * self.C_RECORD)
 
     def test_timers_merged_with_data_are_charged(self):
         sim, host = self._host()
         host.notif.notify_at(0, self._records(4, arrivals=True))
         host.notif.notify_at(0, self._records(3))
-        ctx = Ctx(sim, 0, 0.0)
-        assert host.apply_ripe(ctx, 1)
+        assert self._apply(sim, host) == pytest.approx(7 * self.C_RECORD)
         assert host.logic.applied == [7]
-        assert ctx.now == pytest.approx(7 * self.C_RECORD)
 
 
 class TestRouting:
@@ -268,6 +275,89 @@ class TestRouting:
             for name in ref.data:
                 assert np.array_equal(got.data[name], ref.data[name])
             assert np.array_equal(got.arrivals, ref.arrivals)
+
+
+class TestStagedPass:
+    """S stages all ready workers' ripe records once per pass: one
+    Property-2 check over every record, and the bins F computed ride with
+    the records."""
+
+    def _stage_ripe(self, r, misplace=None):
+        """Pending records at workers 0, 1 and 3 at times 1..3 ms, each in a
+        bin its worker owns, except ``misplace`` = (worker, time, bin)."""
+        width = DOMAIN // BINS
+        for w in (0, 1, 3):
+            s_inst = r.mo.s_op.instances[w]
+            for t in (1 * MS, 2 * MS, 3 * MS):
+                bins = [b for b in range(BINS) if b % W == w][:3]
+                if misplace is not None and misplace[:2] == (w, t):
+                    bins[1] = misplace[2]
+                keys = np.array(bins, dtype=np.int64) * width
+                s_inst.notif.notify_at(
+                    t, Batch(time=t, data={"k": keys}, arrivals=np.zeros(3))
+                )
+        r.data.close()
+        r.control.close()
+        r.sim.recompute_frontiers()
+        r.mo.s_op.stage(r.sim.cost.tick)
+
+    def test_one_check_covers_every_staged_record(self):
+        r = Rig()
+        self._stage_ripe(r)
+        assert [len(r.mo.s_op.instances[w].ripe) for w in range(W)] == [3, 3, 0, 3]
+
+    def test_misplaced_record_names_its_time_bin_and_worker(self):
+        r = Rig()
+        with pytest.raises(
+            AssertionError,
+            match=r"Migration property violated: bin 6 applied at worker 1 "
+            r"at time 2000000, expected worker 2 \(1 records misplaced\)",
+        ):
+            self._stage_ripe(r, misplace=(1, 2 * MS, 6))
+
+    def test_take_batch_carries_bins(self):
+        keys = np.arange(0, DOMAIN, 37)
+        bins = range_bin_of_keys(keys, BINS, DOMAIN)
+        batch = Batch(time=0, data={"k": keys}, bins=bins)
+        idx = np.flatnonzero(keys % 3 == 0)
+        assert np.array_equal(take_batch(batch, idx).bins, bins[idx])
+        assert take_batch(Batch(time=0, data={"k": keys}), idx).bins is None
+
+    def test_routing_sends_bins_of_the_keys(self):
+        r = Rig()
+        keys = np.random.default_rng(4).integers(0, DOMAIN, 300)
+        batch = Batch(time=0, data={"k": keys}, arrivals=np.zeros(len(keys)))
+        r.mo.f_op.instances[0]._route(Ctx(r.sim, 0, 0.0), batch)
+        sent = r.mo.data_out_ch.in_flight
+        assert len(sent) == W
+        for m in sent:
+            assert np.array_equal(m.batch.bins, r.mo.bin_fn(m.batch.data["k"]))
+
+
+class TestProgressChecks:
+    def test_late_arrival_rejected(self):
+        r = Rig()
+        r.send_keys([1, 2])
+        r.advance_both()
+        r.tick(2)
+        s_inst = r.mo.s_op.instances[0]
+        assert s_inst.applied == 0
+        with pytest.raises(AssertionError, match=r"c.S\[0\]: batch at 0 arrived after time 0 was applied \(late"):
+            s_inst.enqueue(0, Batch(time=0, data={"k": np.array([1])}))
+
+    def test_frontier_going_back_rejected(self):
+        r = Rig()
+        r.advance_both()
+        r.tick()
+        r.mo.s_op.could_produce = 10 * MS  # ahead of what S could produce
+        with pytest.raises(AssertionError, match=r"c.S: frontier went back from 10000000 to"):
+            r.sim.recompute_frontiers()
+
+    def test_closed_frontier_stays_closed(self):
+        r = Rig()
+        r.mo.f_op.could_produce = None
+        with pytest.raises(AssertionError, match=r"c.F: frontier went back from None to 0"):
+            r.sim.recompute_frontiers()
 
 
 class TestAuthorityCompaction:

@@ -75,7 +75,6 @@ class TestMigrationStrategies:
             migrate_at_batch=3,
             seed=7,
         )
-        assert not res["steps_unfinished"], "not enough batches to finish plan"
         eng = res["engine"]
         exp = pd.Series(res["input_keys"]).value_counts()
         got = eng.counts_pandas()
@@ -152,6 +151,19 @@ class TestMovementAccounting:
             seed=9,
         )
         assert res["migration_batches"] == 1
+
+    def test_too_few_batches_for_the_plan_raise(self, spark):
+        with pytest.raises(ValueError, match="fluid: 5 batches from batch 3 run 2 of"):
+            migration_timeline(
+                spark,
+                strategy="fluid",
+                n_workers=4,
+                n_bins=16,
+                n_keys=1_000,
+                batch_records=1_000,
+                n_batches=5,
+                migrate_at_batch=3,
+            )
 
     def test_fluid_moves_one_bin_per_batch(self, spark):
         res = migration_timeline(
