@@ -7,12 +7,15 @@ fixed at startup.
 
 Two assignments are provided:
 
-* ``bin_of_keys`` — MSBs of a splitmix64 hash (the paper's scheme), and
-  ``bin_of_key``, the same for one key;
+* ``bin_of_keys`` — MSBs of a splitmix64 hash (the paper's scheme);
 * ``range_bin_of_keys`` — contiguous range partitioning of a dense integer
   key domain, used by the dense-array ("key count") workload so a bin's
   state is a contiguous array slice. Both are static key equivalence
   classes, which is all the mechanism requires.
+
+Only the mechanism maps keys to bins: F to route each record, and S once
+per staged pass, handing the user's logic each record's bin as the ``bin``
+column (and splitting pending records when a bin migrates).
 """
 from __future__ import annotations
 
@@ -39,18 +42,6 @@ def bin_of_keys(keys: np.ndarray, n_bins: int) -> np.ndarray:
         return np.zeros(len(keys), dtype=np.int64)
     shift = np.uint64(64 - (int(n_bins).bit_length() - 1))
     return (hash_keys(keys) >> shift).astype(np.int64)
-
-
-_MASK64 = (1 << 64) - 1
-
-
-def bin_of_key(key: int, n_bins: int) -> int:
-    """``bin_of_keys`` for one int key, in Python integers (no array)."""
-    z = (key + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z >> (64 - (n_bins.bit_length() - 1))
 
 
 def range_bin_of_keys(keys: np.ndarray, n_bins: int, domain: int) -> np.ndarray:

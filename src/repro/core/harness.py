@@ -50,9 +50,9 @@ def run_open_loop(
     completion_timeout_s: float = 600.0,
     strict_completion: bool = True,
     drain: bool = True,
-) -> tuple[LatencyHistogram, list[MigrationRecord], int]:
-    """Run one workload on ``sim``; return the steady-state histogram, the
-    migration records and the number of records applied before draining.
+) -> tuple[LatencyHistogram, list[MigrationRecord]]:
+    """Run one workload on ``sim``; return the steady-state histogram and
+    the migration records.
 
     ``impl`` is ``"megaphone"`` (the F/S pair, Property 2 checked by a
     :class:`ConfigAuthority` on every apply) or ``"native"``. ``migrations``
@@ -161,7 +161,6 @@ def run_open_loop(
         sim.run_until(lambda s: driver.idle, max_seconds=completion_timeout_s)
         if strict_completion:
             assert driver.idle, "migration did not complete (liveness violation)"
-    applied = sim.latency.total
     if drain:
         sim.drain(max_seconds=600.0)
-    return steady, list(driver.records) if driver else [], applied
+    return steady, list(driver.records) if driver else []

@@ -21,12 +21,12 @@ two-operator construction of Figure 3b:
 ``NativeOperator`` is the baseline: a single hand-partitioned stateful
 operator without bins, control input, or migration support.
 
-F sends each record's bin along (``Batch.bins``). S and the native operator
-share one receive path, :class:`_HostOperator`, which stages its ready
-instances once per pass: one concatenation and one Property-2 check of all
-their ripe records. Each instance's ``schedule`` then charges, in worker
-order. A batch entering a host's notificator must be later than every time
-that host applied.
+S and the native operator share one receive path, :class:`_HostOperator`,
+which stages its ready instances once per pass: one concatenation of all
+their ripe records and, for S, one bin computation that feeds both the
+Property-2 check and L's ``bin`` column. Each instance's ``schedule`` then
+charges, in worker order. A batch entering a host's notificator must be
+later than every time that host applied.
 """
 from __future__ import annotations
 
@@ -61,6 +61,9 @@ class StateLogic:
     """
 
     def apply(self, time: int, data: Any) -> None:
+        """Apply the records at ``time``: a dict of equal-length columns.
+        Under S, column ``bin`` holds each record's bin, so L never maps
+        keys to bins itself."""
         raise NotImplementedError
 
     def take_postdated(self) -> list[tuple[int, Any]]:
@@ -91,23 +94,7 @@ def take_batch(batch: Batch, idx: np.ndarray | slice, nbytes: float = 0.0) -> Ba
         data={name: col[idx] for name, col in batch.data.items()},
         arrivals=None if batch.arrivals is None else batch.arrivals[idx],
         nbytes=nbytes,
-        bins=None if batch.bins is None else batch.bins[idx],
     )
-
-
-def _bins_of(
-    batches: list[Batch], keys: np.ndarray, lens: list[int], bin_fn: Callable
-) -> np.ndarray:
-    """Bins of ``batches``' records: F's, and one ``bin_fn`` call for the rest."""
-    routed = [b.bins for b in batches if b.bins is not None]
-    if len(routed) == len(batches):
-        return np.concatenate(routed)
-    mask = np.array([b.bins is not None for b in batches]).repeat(lens)
-    bins = np.empty(len(keys), dtype=np.int64)
-    bins[~mask] = bin_fn(keys[~mask])
-    if routed:
-        bins[mask] = np.concatenate(routed)
-    return bins
 
 
 @dataclass
@@ -232,15 +219,13 @@ class _FInstance(OperatorInstance):
     def _route(self, ctx: Ctx, batch: Batch) -> None:
         mo = self.mo
         keys = batch.data["k"]
-        bins = mo.bin_fn(keys)
-        workers = mo.shared.routing.lookup(batch.time, bins)
+        workers = mo.shared.routing.lookup(batch.time, mo.bin_fn(keys))
         ctx.charge(len(keys) * ctx.sim.cost.c_exchange)
         # gather each column once in destination order, then send slices
         # (views) of the gathered columns per destination
         order = np.argsort(workers, kind="stable")
         cols = {name: col[order] for name, col in batch.data.items()}
         arr = None if batch.arrivals is None else batch.arrivals[order]
-        bins = bins[order]
         per_rec_bytes = batch.nbytes / max(len(keys), 1)
         time, out = batch.time, mo.data_out_ch
         hi = 0
@@ -250,12 +235,14 @@ class _FInstance(OperatorInstance):
             lo, hi = hi, hi + n
             data = {name: col[lo:hi] for name, col in cols.items()}
             sub_arr = None if arr is None else arr[lo:hi]
-            ctx.send(out, w, Batch(time, data, sub_arr, per_rec_bytes * n, bins[lo:hi]))
+            ctx.send(out, w, Batch(time, data, sub_arr, per_rec_bytes * n))
 
 
 class _HostOperator(Operator):
     """S or the native operator. ``owner`` supplies ``c_record``, ``bin_fn``
-    and ``authority``; with an authority, every applied record is checked."""
+    and ``authority``. With a ``bin_fn`` (S), each staged pass bins its
+    records once, for L's ``bin`` column and, with an authority, for the
+    check of every applied record."""
 
     def __init__(self, sim: Simulation, name: str, owner):
         super().__init__(sim, name)
@@ -276,13 +263,12 @@ class _HostOperator(Operator):
             return
         # records and arrivals per group (post-dated batches carry no
         # arrivals; no batch is empty)
-        batches, arrs, lens, counts, acounts = [], [], [], [], []
+        batches, arrs, counts, acounts = [], [], [], []
         for _, _, ps in groups:
             n = na = 0
             for b in ps:
                 batches.append(b)
                 k = len(b.data["k"])
-                lens.append(k)
                 n += k
                 if b.arrivals is not None:
                     arrs.append(b.arrivals)
@@ -301,10 +287,13 @@ class _HostOperator(Operator):
             lo += n
             alo += na
         owner = self.owner
+        if owner.bin_fn is None:
+            return
+        cols["bin"] = owner.bin_fn(cols["k"])
         if owner.authority is not None:
             owner.authority.check(
                 np.array([t for _, t, _ in groups]).repeat(counts),
-                _bins_of(batches, cols["k"], lens, owner.bin_fn),
+                cols["bin"],
                 np.array([host.worker for host, _, _ in groups]).repeat(counts),
             )
 
@@ -373,9 +362,8 @@ class _SInstance(_LogicHost):
 
         def split(batches: list[Batch]) -> list[tuple]:
             keys = [bt.data["k"] for bt in batches]
-            lens = [len(k) for k in keys]
-            in_bin = _bins_of(batches, np.concatenate(keys), lens, bin_fn) == b
-            ends = np.cumsum(lens)
+            in_bin = bin_fn(np.concatenate(keys)) == b
+            ends = np.cumsum([len(k) for k in keys])
             parts = []
             for bt, mask in zip(batches, np.split(in_bin, ends[:-1])):
                 if not mask.any():
@@ -469,7 +457,7 @@ class NativeOperator:
     ):
         self.logic_factory = logic_factory
         self.c_record = c_record
-        self.authority = None
+        self.bin_fn = self.authority = None
         self.op = _HostOperator(sim, f"{name}.native", self)
         self.data_ch = Channel(f"{name}.data_in", data_input, self.op)
         self.op.add_instances(lambda w: _LogicHost(self, w, self.data_ch))

@@ -86,16 +86,12 @@ class NativeCountLogic(StateLogic):
 class CountRun:
     """Result of one counting run."""
 
-    impl: str
-    flavour: str
     nominal_keys: float
     n_bins: int
-    rate: float
     latency: LatencyHistogram
     steady: LatencyHistogram
     migrations: list[MigrationRecord]
     memory_samples: list
-    total_records: int
     final_counts: Optional[np.ndarray] = None
     input_keys: Optional[np.ndarray] = None
     sim: Optional[Simulation] = None
@@ -182,7 +178,7 @@ def run_count(
         arrivals = t0 - cost.tick + np.linspace(0.0, cost.tick, n, endpoint=False)
         return {"k": keys}, arrivals
 
-    steady, records, total = run_open_loop(
+    steady, records = run_open_loop(
         sim,
         "count",
         impl=impl,
@@ -206,16 +202,12 @@ def run_count(
         for lg in logics[1:]:
             final += lg.counts
     return CountRun(
-        impl=impl,
-        flavour=flavour,
         nominal_keys=nominal_keys,
         n_bins=n_bins,
-        rate=rate,
         latency=sim.latency,
         steady=steady,
         migrations=records,
         memory_samples=sim.memory_samples,
-        total_records=total,
         final_counts=final,
         input_keys=np.concatenate(all_keys) if all_keys else None,
         sim=sim,

@@ -39,7 +39,6 @@ def migrate_once(
 ):
     """Run one rebalancing migration; return (CountRun, MigrationRecord)."""
     run = run_count(
-        impl="megaphone",
         nominal_keys=nominal_keys,
         rate=rate,
         n_bins=n_bins,
@@ -89,7 +88,6 @@ def throughput_row(
     or during a migration."""
     if strategy == "none":
         steady = run_count(
-            impl="megaphone",
             nominal_keys=nominal_keys,
             n_bins=n_bins,
             rate=rate,

@@ -39,7 +39,6 @@ def overhead_row(
         duration_s=duration_s,
         warmup_s=warmup_s,
         cost=cost,
-        drain=True,
     )
     row = {"experiment": "Native" if impl == "native" else str(log_bins)}
     row.update(percentile_table(run.steady))

@@ -1,7 +1,8 @@
 """NEXMark Q1–Q8 via Megaphone's stateful operator interface (§4.1).
 
 Each query is a :class:`NexLogic`: per-key state comes from the
-``KeyedBinState`` helper, future work is scheduled with ``self.timer`` (the
+``KeyedBinState`` helper, in the bin S hands each record (``r["bin"]``:
+the query never maps keys to bins), future work is scheduled with ``self.timer`` (the
 extended notificator — pending records migrate with their bin), and
 migration is entirely transparent to the query code. Compare with
 ``queries_native.py``, where the same logic hand-manages its state and
@@ -50,7 +51,7 @@ class Q3Megaphone(NexLogic):
 
     def apply(self, time, data):
         for r in rows(data):
-            k, b = int(r["k"]), self.bin_of(int(r["k"]))
+            k, b = int(r["k"]), int(r["bin"])
             st = self.state.get(b, k, {"p": False, "a": []})
             if r["etype"] == PERSON and r["state_code"] in HOT_STATE_CODES:
                 st["p"] = True
@@ -70,7 +71,7 @@ class Q4Megaphone(NexLogic):
 
     def apply(self, time, data):
         for r in rows(data):
-            k, b = int(r["k"]), self.bin_of(int(r["k"]))
+            k, b = int(r["k"]), int(r["bin"])
             if r["etype"] == AUCTION:
                 self.state.put(
                     b, k, [int(r["category"]), int(r["ts"]), int(r["expires"]), None]
@@ -96,7 +97,7 @@ class Q5Megaphone(NexLogic):
     def apply(self, time, data):
         n_hops = self.q.window_ms // self.q.slide_ms
         for r in rows(data):
-            k, b = int(r["k"]), self.bin_of(int(r["k"]))
+            k, b = int(r["k"]), int(r["bin"])
             if r["etype"] == BID:
                 st = self.state.get(b, k, {})
                 hop = int(r["ts"]) // self.q.slide_ms
@@ -121,7 +122,7 @@ class Q6Megaphone(NexLogic):
         for r in rows(data):
             if r["etype"] != CLOSED:
                 continue
-            k, b = int(r["k"]), self.bin_of(int(r["k"]))
+            k, b = int(r["k"]), int(r["bin"])
             prices = self.state.get(b, k, [])
             prices.append(float(r["price"]))
             self.state.put(b, k, prices[-self.q.last_n :])
@@ -139,7 +140,7 @@ class Q7Megaphone(NexLogic):
 
     def apply(self, time, data):
         for r in rows(data):
-            k, b = int(r["k"]), self.bin_of(int(r["k"]))
+            k, b = int(r["k"]), int(r["bin"])
             if r["etype"] == BID:
                 cur = self.state.get(b, k)
                 if cur is None:
@@ -159,7 +160,7 @@ class Q8Megaphone(NexLogic):
 
     def apply(self, time, data):
         for r in rows(data):
-            k, b = int(r["k"]), self.bin_of(int(r["k"]))
+            k, b = int(r["k"]), int(r["bin"])
             w = int(r["ts"]) // (2 * self.q.window_ms)
             if r["etype"] == PERSON:
                 self.state.put(b, k, {"w": w, "hit": set()})

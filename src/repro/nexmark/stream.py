@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
-from repro.core.binning import bin_of_key, bin_of_keys, hash_keys
+from repro.core.binning import bin_of_keys, hash_keys
 from repro.core.harness import run_open_loop
 from repro.core.operators import StateLogic
 from repro.core.strategies import MigrationRecord, initial_assignment
@@ -106,8 +106,9 @@ class KeyedBinState:
 
 
 class NexLogic(StateLogic):
-    """Base for Megaphone-interface NEXMark logics: state via KeyedBinState,
-    timers via post-dated records, results into a shared list."""
+    """Base for Megaphone-interface NEXMark logics: state via KeyedBinState
+    in the bins S hands over (``data["bin"]``), timers via post-dated
+    records, results into a shared list."""
 
     ENTRY_NBYTES = 64.0
 
@@ -118,9 +119,6 @@ class NexLogic(StateLogic):
         )
         self.results = q.results
         self._post: list[tuple[int, dict]] = []
-
-    def bin_of(self, key: int) -> int:
-        return bin_of_key(key, self.q.n_bins)
 
     def timer(self, t_ns: int, **cols) -> None:
         self._post.append((t_ns, payload(**cols, etype=[TIMER])))
@@ -145,7 +143,6 @@ class NexLogic(StateLogic):
 class QueryRun:
     """Shared context handed to logic instances."""
 
-    n_bins: int
     assignment: np.ndarray
     results: list
     window_ms: int = 10_000
@@ -160,8 +157,6 @@ class QueryRun:
 
 @dataclass
 class NexRun:
-    query: str
-    impl: str
     results: list
     latency: LatencyHistogram
     steady: LatencyHistogram
@@ -268,7 +263,6 @@ def run_nexmark(
     W = cost.workers
     assign = initial_assignment(n_bins, W)
     qr = QueryRun(
-        n_bins=n_bins,
         assignment=assign,
         results=[],
         window_ms=window_ms,
@@ -306,7 +300,7 @@ def run_nexmark(
     def key_dest(data) -> np.ndarray:
         return (hash_keys(data["k"]) % np.uint64(W)).astype(np.int64)
 
-    steady, records, _ = run_open_loop(
+    steady, records = run_open_loop(
         sim,
         query,
         impl=impl,
@@ -325,8 +319,6 @@ def run_nexmark(
         key_dest=key_dest if impl == "native" else None,
     )
     return NexRun(
-        query=query,
-        impl=impl,
         results=qr.results,
         latency=sim.latency,
         steady=steady,

@@ -69,15 +69,13 @@ class Batch:
     their event time falls in); ``arrivals`` carries each record's exact
     arrival in simulated seconds for latency measurement. ``data`` is
     workload-defined (dict of numpy arrays, pandas DataFrame, or state
-    payloads); ``nbytes`` is the modelled wire size; ``bins`` holds the
-    records' bins if the sender computed them.
+    payloads); ``nbytes`` is the modelled wire size.
     """
 
     time: int
     data: Any
     arrivals: Optional[np.ndarray] = None
     nbytes: float = 0.0
-    bins: Optional[np.ndarray] = None
 
 
 class _InFlight(NamedTuple):

@@ -15,7 +15,7 @@ the work is done.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 
 class Notificator:
@@ -52,10 +52,6 @@ class Notificator:
             out.append((t, self._pending.pop(t)))
         return out
 
-    def ripe(self, frontier: Optional[float]) -> Iterator[tuple[int, Any]]:
-        """:meth:`drain` as ``(time, payload)`` entries."""
-        return ((t, p) for t, ps in self.drain(frontier) for p in ps)
-
     def split(self, parts: Callable[[list], list[tuple]]) -> list[tuple[int, Any]]:
         """Split all pending entries in one call (used when migrating a bin):
         ``parts`` maps the payloads, in (time, arrival) order, to one (moved,
@@ -74,6 +70,3 @@ class Notificator:
         self._pending = pending
         self._times = [t for t in self._times if t in pending]
         return moved
-
-    def __len__(self) -> int:
-        return sum(map(len, self._pending.values()))

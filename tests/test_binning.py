@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.binning import (
-    bin_of_key,
     bin_of_keys,
     hash_keys,
     range_bin_bounds,
@@ -56,16 +55,6 @@ class TestBinOfKeys:
         k = np.arange(0, 1 << 20, 1 << 10)  # same low 10 bits
         bins = bin_of_keys(k, 64)
         assert len(np.unique(bins)) > 32
-
-    @pytest.mark.parametrize("n_bins", [1, 2, 1024, 2**20])
-    def test_scalar_matches_vectorised(self, n_bins):
-        rng = np.random.default_rng(0)
-        keys = np.concatenate([
-            np.array([0, 1, 2**31, 2**62, 2**63 - 1], dtype=np.int64),
-            rng.integers(-(2**63), 2**63 - 1, 10_000, dtype=np.int64),
-        ])
-        expect = bin_of_keys(keys, n_bins).tolist()
-        assert [bin_of_key(k, n_bins) for k in keys.tolist()] == expect
 
     @given(st.integers(1, 10))
     def test_balanced(self, log_bins):

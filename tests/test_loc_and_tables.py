@@ -59,6 +59,13 @@ class TestLocTable:
             if r["query"] in ("Q3", "Q4", "Q5", "Q6", "Q8"):
                 assert r["megaphone_loc"] < r["native_loc"], r
 
+    def test_matches_committed_table(self):
+        """The queries' measured LOC are the committed Table 1."""
+        table = TABLES["table1"]
+        committed = (ROOT / "results" / "tables.md").read_text()
+        section = committed.split(f"## {table.title}\n\n", 1)[1].split("\n## ", 1)[0]
+        assert markdown_table(loc_table(), table.columns) == section.strip()
+
 
 class TestMarkdown:
     def test_fmt(self):

@@ -21,12 +21,38 @@ from repro.timely.notificator import Notificator
 
 W, BINS, DOMAIN = 4, 16, 1024
 MS = 1_000_000  # ns per tick at tick=1ms
+POST_AT = 5 * MS
+
+
+class PostingCount(CountLogic):
+    """CountLogic that logs each apply as (time, keys, bins) and post-dates
+    the records it applies at time 0 to ``POST_AT``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen, self._post = [], []
+
+    def apply(self, time, data):
+        super().apply(time, data)
+        self.seen.append((time, data["k"].copy(), data["bin"].copy()))
+        if time == 0:
+            self._post.append((POST_AT, {"k": data["k"].copy()}))
+
+    def take_postdated(self):
+        out, self._post = self._post, []
+        return out
+
+
+def drain_all(notif):
+    """Drain ``notif`` as ``(time, batch)`` entries, in order."""
+    return [(t, b) for t, bs in notif.drain(None) for b in bs]
 
 
 class Rig:
-    """Hand-driven F/S rig: we control the inputs tick by tick."""
+    """Hand-driven F/S rig: we control the inputs tick by tick. ``logic``
+    is a ``CountLogic`` class; each bin's state is ``bin_nbytes``."""
 
-    def __init__(self):
+    def __init__(self, logic=CountLogic, bin_nbytes=1e6):
         self.cost = CostModel(
             workers=W, workers_per_process=2, jitter_sigma=0.0, spike_prob=0.0
         )
@@ -38,8 +64,12 @@ class Rig:
         self.logics = []
 
         def mk(w):
-            lg = CountLogic(
-                w, scaled_keys=DOMAIN, n_bins=BINS, bin_nbytes=1e6, assignment=assign
+            lg = logic(
+                w,
+                scaled_keys=DOMAIN,
+                n_bins=BINS,
+                bin_nbytes=bin_nbytes,
+                assignment=assign,
             )
             self.logics.append(lg)
             return lg
@@ -278,9 +308,8 @@ class TestRouting:
 
 
 class TestStagedPass:
-    """S stages all ready workers' ripe records once per pass: one
-    Property-2 check over every record, and the bins F computed ride with
-    the records."""
+    """S stages all ready workers' ripe records once per pass: one bin
+    computation and one Property-2 check over every record."""
 
     def _stage_ripe(self, r, misplace=None):
         """Pending records at workers 0, 1 and 3 at times 1..3 ms, each in a
@@ -315,23 +344,31 @@ class TestStagedPass:
         ):
             self._stage_ripe(r, misplace=(1, 2 * MS, 6))
 
-    def test_take_batch_carries_bins(self):
-        keys = np.arange(0, DOMAIN, 37)
-        bins = range_bin_of_keys(keys, BINS, DOMAIN)
-        batch = Batch(time=0, data={"k": keys}, bins=bins)
-        idx = np.flatnonzero(keys % 3 == 0)
-        assert np.array_equal(take_batch(batch, idx).bins, bins[idx])
-        assert take_batch(Batch(time=0, data={"k": keys}), idx).bins is None
-
-    def test_routing_sends_bins_of_the_keys(self):
-        r = Rig()
-        keys = np.random.default_rng(4).integers(0, DOMAIN, 300)
-        batch = Batch(time=0, data={"k": keys}, arrivals=np.zeros(len(keys)))
-        r.mo.f_op.instances[0]._route(Ctx(r.sim, 0, 0.0), batch)
-        sent = r.mo.data_out_ch.in_flight
-        assert len(sent) == W
-        for m in sent:
-            assert np.array_equal(m.batch.bins, r.mo.bin_fn(m.batch.data["k"]))
+    def test_apply_sees_the_bin_of_every_record(self):
+        """L reads each record's bin from S (``data["bin"]``): for routed
+        records, for post-dated records, and for post-dated records pending
+        in a moved bin, which the migration installs at the new owner."""
+        r = Rig(logic=PostingCount)
+        width = DOMAIN // BINS
+        r.send_keys(np.arange(0, DOMAIN, width // 2))  # two keys of every bin
+        r.advance_both()
+        r.tick()
+        t_mig = r.now_ns()
+        r.authority.register([ControlUpdate(t_mig, 0, 2)])
+        r.control.send(0, Batch(time=t_mig, data=[ControlUpdate(t_mig, 0, 2)]))
+        for _ in range(20):
+            r.advance_both()
+            r.tick()
+        assert r.owner_of_bin(0) == [2]
+        seen = [(w, t, k, b) for w, lg in enumerate(r.logics) for t, k, b in lg.seen]
+        for _, _, keys, bins in seen:
+            assert np.array_equal(bins, r.mo.bin_fn(keys))
+        applied = {(w, t, int(k)) for w, t, keys, _ in seen for k in keys}
+        # routed, and post-dated at the owner that stays
+        assert {(0, 0, 0), (1, 0, width), (1, POST_AT, width)} <= applied
+        # post-dated in bin 0, pending at the migration, applied at the new owner
+        assert {(2, POST_AT, 0), (2, POST_AT, width // 2)} <= applied
+        assert not any(w == 0 and k < width for w, t, k in applied if t >= t_mig)
 
 
 class TestProgressChecks:
@@ -358,6 +395,38 @@ class TestProgressChecks:
         r.mo.f_op.could_produce = None
         with pytest.raises(AssertionError, match=r"c.F: frontier went back from None to 0"):
             r.sim.recompute_frontiers()
+
+    def test_postdated_state_installed_after_later_data_held(self):
+        """A post-dated record pending in a moving bin reaches the new owner
+        with the bin's state, which is slow to ship (20 MB) while data at
+        later times already waits there. S must not apply those times before
+        the state input passes them: the post-dated record applies at its
+        time, in time order, after the install."""
+        r = Rig(logic=PostingCount, bin_nbytes=2e7)
+        width = DOMAIN // BINS
+        keys = np.arange(0, DOMAIN, width // 2)
+        r.send_keys(keys)
+        r.advance_both()
+        r.tick()
+        t_mig = r.now_ns()
+        r.authority.register([ControlUpdate(t_mig, 0, 2)])
+        r.control.send(0, Batch(time=t_mig, data=[ControlUpdate(t_mig, 0, 2)]))
+        dst = r.mo.s_op.instances[2]
+        held = -1  # the latest time the new owner holds before the install
+        for _ in range(60):
+            if 0 not in r.logics[2].owned:
+                held = max(dst.notif._pending, default=held)
+            # from the new owner's process: process 0's NIC is busy shipping
+            r.send_keys(keys, worker=3)
+            r.advance_both()
+            r.tick()
+        assert r.owner_of_bin(0) == [2]
+        assert held > POST_AT
+        times = [t for t, _, _ in r.logics[2].seen]
+        assert times == sorted(times)
+        # key 0 at POST_AT: the record sent then, and the post-dated one
+        at_post = np.concatenate([k for t, k, _ in r.logics[2].seen if t == POST_AT])
+        assert np.count_nonzero(at_post == 0) == 2
 
 
 class TestAuthorityCompaction:
@@ -434,7 +503,7 @@ class TestPendingRecordsMigrate:
 
         def reference(notif):
             keep, moved = Notificator(), []
-            for t, batch in list(notif.ripe(None)):
+            for t, batch in drain_all(notif):
                 mask = r.mo.bin_fn(batch.data["k"]) == b
                 if mask.any():
                     moved.append((t, take_batch(batch, np.nonzero(mask)[0])))
@@ -462,4 +531,4 @@ class TestPendingRecordsMigrate:
 
         assert any(len(bt.data["k"]) == 4 for _, bt in moved)
         assert flat(moved) == flat(ref_moved)
-        assert flat(s_inst.notif.ripe(None)) == flat(ref.ripe(None))
+        assert flat(drain_all(s_inst.notif)) == flat(drain_all(ref))

@@ -68,7 +68,7 @@ class TestStreamProjections:
         return nexmark_events(5000, rate_per_s=1000, seed=2)
 
     def qr(self):
-        return QueryRun(n_bins=64, assignment=initial_assignment(64, 4), results=[])
+        return QueryRun(assignment=initial_assignment(64, 4), results=[])
 
     def test_q3_key_is_person_or_seller(self, events):
         s = events_to_stream("q3", events, self.qr())
