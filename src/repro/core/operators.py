@@ -21,12 +21,15 @@ two-operator construction of Figure 3b:
 ``NativeOperator`` is the baseline: a single hand-partitioned stateful
 operator without bins, control input, or migration support.
 
-S and the native operator share one receive path, :class:`_HostOperator`,
-which stages its ready instances once per pass: one concatenation of all
-their ripe records and, for S, one bin computation that feeds both the
-Property-2 check and L's ``bin`` column. Each instance's ``schedule`` then
-charges, in worker order. A batch entering a host's notificator must be
-later than every time that host applied.
+F gathers each routed batch once in destination order and sends it once:
+every S instance gets a :class:`repro.timely.engine.Piece`, a view of its
+records. S and the native operator share one receive path,
+:class:`_HostOperator`, which stages its ready instances once per pass: one
+gather of all their ripe pieces and, for S, one bin computation that feeds
+both the Property-2 check and L's ``bin`` column. Each instance's
+``schedule`` then charges, in worker order. A notificator holds pieces only
+(post-dated and installed records are whole batches); a piece entering it
+must be later than every time that host applied.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ from repro.timely.engine import (
     InputHandle,
     Operator,
     OperatorInstance,
+    Piece,
     Probe,
     Simulation,
     frontier_min,
@@ -95,6 +99,11 @@ def take_batch(batch: Batch, idx: np.ndarray | slice, nbytes: float = 0.0) -> Ba
         arrivals=None if batch.arrivals is None else batch.arrivals[idx],
         nbytes=nbytes,
     )
+
+
+def whole(batch: Batch) -> Piece:
+    """All records of ``batch`` as one piece."""
+    return Piece(batch.time, batch, 0, len(batch.data["k"]))
 
 
 @dataclass
@@ -221,21 +230,11 @@ class _FInstance(OperatorInstance):
         keys = batch.data["k"]
         workers = mo.shared.routing.lookup(batch.time, mo.bin_fn(keys))
         ctx.charge(len(keys) * ctx.sim.cost.c_exchange)
-        # gather each column once in destination order, then send slices
-        # (views) of the gathered columns per destination
+        # gather the records once in destination order and send them once:
+        # each destination gets a piece of the gathered batch
         order = np.argsort(workers, kind="stable")
-        cols = {name: col[order] for name, col in batch.data.items()}
-        arr = None if batch.arrivals is None else batch.arrivals[order]
-        per_rec_bytes = batch.nbytes / max(len(keys), 1)
-        time, out = batch.time, mo.data_out_ch
-        hi = 0
-        for w, n in enumerate(np.bincount(workers).tolist()):
-            if not n:
-                continue
-            lo, hi = hi, hi + n
-            data = {name: col[lo:hi] for name, col in cols.items()}
-            sub_arr = None if arr is None else arr[lo:hi]
-            ctx.send(out, w, Batch(time, data, sub_arr, per_rec_bytes * n))
+        gathered = take_batch(batch, order, batch.nbytes)
+        ctx.scatter(mo.data_out_ch, gathered, np.bincount(workers).tolist())
 
 
 class _HostOperator(Operator):
@@ -254,32 +253,52 @@ class _HostOperator(Operator):
         for ch in self.input_channels:
             gate = frontier_min(gate, ch.arrive_frontier)
         busy = self.sim.worker_busy
-        groups = []  # (host, time, payloads), worker-major, then time order
+        groups = []  # (host, time, pieces), worker-major, then time order
         for host in self.instances:
             host.staged = busy[host.worker] < t1 and host.take_inputs(gate)
             if host.staged:
                 groups += [(host, t, ps) for t, ps in host.notif.drain(gate)]
         if not groups:
             return
-        # records and arrivals per group (post-dated batches carry no
-        # arrivals; no batch is empty)
-        batches, arrs, counts, acounts = [], [], [], []
+        # one gather over the concatenated distinct batches the pieces view:
+        # the index is arange(records) plus, per piece, the shift from its
+        # place in the output to its first record; the same for arrivals,
+        # which post-dated batches lack (no piece is empty)
+        first = {}  # id(batch) -> its first record, first arrival or None
+        batches, arrs = [], []
+        shifts, lens, ashifts, alens, counts, acounts = [], [], [], [], [], []
+        rows = arows = pos = apos = 0  # in the concatenations; in the output
         for _, _, ps in groups:
-            n = na = 0
-            for b in ps:
-                batches.append(b)
-                k = len(b.data["k"])
-                n += k
-                if b.arrivals is not None:
-                    arrs.append(b.arrivals)
-                    na += k
-            counts.append(n)
-            acounts.append(na)
+            pos0, apos0 = pos, apos
+            for _, b, lo, hi in ps:
+                at = first.get(id(b))
+                if at is None:
+                    at = first[id(b)] = (rows, None if b.arrivals is None else arows)
+                    batches.append(b)
+                    size = len(b.data["k"])
+                    rows += size
+                    if b.arrivals is not None:
+                        arrs.append(b.arrivals)
+                        arows += size
+                k = hi - lo
+                shifts.append(at[0] + lo - pos)
+                lens.append(k)
+                pos += k
+                if at[1] is not None:
+                    ashifts.append(at[1] + lo - apos)
+                    alens.append(k)
+                    apos += k
+            counts.append(pos - pos0)
+            acounts.append(apos - apos0)
+        idx = np.arange(pos) + np.repeat(shifts, lens)
         cols = {
-            name: np.concatenate([b.data[name] for b in batches])
+            name: np.concatenate([b.data[name] for b in batches])[idx]
             for name in batches[0].data
         }
-        arrivals = np.concatenate(arrs) if arrs else None
+        arrivals = None
+        if arrs:  # every batch has arrivals: the records' index serves
+            aidx = idx if arows == rows else np.arange(apos) + np.repeat(ashifts, alens)
+            arrivals = np.concatenate(arrs)[aidx]
         lo = alo = 0
         for (host, t, _), n, na in zip(groups, counts, acounts):
             host.cols = cols  # sliced per time as it applies, to bound memory
@@ -311,23 +330,25 @@ class _LogicHost(OperatorInstance):
         self.applied = -1  # the last time applied
         self.installs: list[float] = []  # nbytes of each state installed
         self.staged = False
-        self.cols: dict = {}  # the last staged pass's concatenated ripe records
+        self.cols: dict = {}  # the last staged pass's gathered ripe records
         self.ripe: list[tuple] = []  # (time, first record, records, arrivals)
 
-    def enqueue(self, t: int, batch: Batch) -> None:
+    def enqueue(self, t: int, piece: Piece) -> None:
         assert t > self.applied, (
             f"{self.op.name}[{self.worker}]: batch at {t} arrived after time "
             f"{self.applied} was applied (late arrival)"
         )
-        self.notif.notify_at(t, batch)
+        self.notif.notify_at(t, piece)
 
     def take_inputs(self, gate: Optional[float]) -> bool:
-        """Enqueue arrived data; True if there is work for ``schedule``."""
+        """Enqueue arrived data (whole batches from the native operator's
+        input); True if there is work for ``schedule``."""
         got = self.data_ch.take(self.worker)
-        for db in got:
-            self.enqueue(db.time, db)
-        if got:
-            return True
+        for b in got:
+            self.enqueue(b.time, whole(b))
+        return bool(got) or self.ripe_before(gate)
+
+    def ripe_before(self, gate: Optional[float]) -> bool:
         mn = self.notif.min_time()
         return mn is not None and (gate is None or mn < gate)
 
@@ -346,7 +367,7 @@ class _LogicHost(OperatorInstance):
                 ctx.record_latency(arrivals)
             self.applied = t
             for pt, pdata in logic.take_postdated():
-                self.enqueue(pt, Batch(time=pt, data=pdata))
+                self.enqueue(pt, whole(Batch(time=pt, data=pdata)))
         self.ripe = []
         return True
 
@@ -356,22 +377,24 @@ class _SInstance(_LogicHost):
 
     def uninstall_bin(self, b: int) -> tuple[Any, float, list]:
         """Shared-pointer extraction used by the co-located F instance:
-        removes the bin's state *and* its pending records."""
+        removes the bin's state *and* its pending records, which leave as
+        batches; a piece's records that stay become a whole batch."""
         bin_fn = self.owner.bin_fn
         payload, nbytes = self.logic.extract_bin(b)
 
-        def split(batches: list[Batch]) -> list[tuple]:
-            keys = [bt.data["k"] for bt in batches]
+        def split(pieces: list[Piece]) -> list[tuple]:
+            keys = [bt.data["k"][lo:hi] for _, bt, lo, hi in pieces]
             in_bin = bin_fn(np.concatenate(keys)) == b
             ends = np.cumsum([len(k) for k in keys])
             parts = []
-            for bt, mask in zip(batches, np.split(in_bin, ends[:-1])):
+            for piece, mask in zip(pieces, np.split(in_bin, ends[:-1])):
                 if not mask.any():
-                    parts.append((None, bt))
+                    parts.append((None, piece))
                     continue
-                rest = np.nonzero(~mask)[0]
-                kept = take_batch(bt, rest) if len(rest) else None
-                parts.append((take_batch(bt, np.nonzero(mask)[0]), kept))
+                _, bt, lo, _ = piece
+                rest = lo + np.nonzero(~mask)[0]
+                kept = whole(take_batch(bt, rest)) if len(rest) else None
+                parts.append((take_batch(bt, lo + np.nonzero(mask)[0]), kept))
             return parts
 
         moved = self.notif.split(split)
@@ -382,17 +405,21 @@ class _SInstance(_LogicHost):
         return payload, nbytes, moved
 
     def take_inputs(self, gate: Optional[float]) -> bool:
-        """Install migrated state immediately (paper §3.4), then enqueue data."""
+        """Install migrated state immediately (paper §3.4), then enqueue
+        F's pieces."""
         sim = self.op.sim
         for sb in self.owner.state_ch.take(self.worker):
             b, payload, pending, src_worker = sb.data
             self.logic.install_bin(b, payload, sb.nbytes)
             for t, pb in pending:
-                self.enqueue(t, pb)
+                self.enqueue(t, whole(pb))
             sim.state_bytes[sim.process_of[src_worker]] -= sb.nbytes
             sim.state_bytes[sim.process_of[self.worker]] += sb.nbytes
             self.installs.append(sb.nbytes)
-        return super().take_inputs(gate) or bool(self.installs)
+        got = self.data_ch.take(self.worker)  # F's pieces
+        for piece in got:
+            self.enqueue(piece.time, piece)
+        return bool(got) or bool(self.installs) or self.ripe_before(gate)
 
     def schedule(self, ctx: Ctx) -> bool:
         if not self.staged:

@@ -15,7 +15,11 @@ concepts Megaphone relies on:
   frontiers back (Megaphone's F holds the migration time on the state
   channel until state has been shipped);
 * probes: observe an operator's output frontier (F watches S's);
-* exchange channels: instances address messages to specific workers.
+* exchange channels: instances address messages to specific workers; one
+  multi-destination send (``Ctx.scatter``) hands each worker a
+  :class:`Piece`, a view of one destination-sorted batch;
+* the send-within-capability rule: an operator sends only at times at or
+  after its ``could_produce`` from the last frontier pass.
 
 Simulated time is float seconds. Each worker has a clock (``busy_until``);
 scheduling runs in ticks of ``cost.tick`` seconds. Cross-process messages
@@ -41,7 +45,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -78,17 +81,29 @@ class Batch:
     nbytes: float = 0.0
 
 
+class Piece(NamedTuple):
+    """Records ``lo:hi`` of ``batch``, at its ``time``: what one worker gets
+    of a multi-destination send. A whole batch is the piece ``(time,
+    batch, 0, n)``."""
+
+    time: int
+    batch: Batch
+    lo: int
+    hi: int
+
+
 class _InFlight(NamedTuple):
-    """A message in flight; ``seq`` is unique, so messages order by
-    (deliver_time, seq) and the batch is never compared."""
+    """A message (a ``Batch`` or a ``Piece``) in flight; ``seq`` is unique,
+    so messages order by (deliver_time, seq) and the batch is never
+    compared."""
 
     deliver_time: float
     seq: int
     dst_worker: int
-    batch: Batch
+    batch: Batch | Piece
 
 
-# builds an _InFlight from a tuple without the NamedTuple constructor's
+# builds a NamedTuple from a tuple without the NamedTuple constructor's
 # Python-level __new__ (one per message sent)
 _tuple_new = tuple.__new__
 
@@ -107,7 +122,7 @@ class Channel:
         self.name = name
         self.src = src
         self.dst = dst
-        self.queues: list[list[Batch]] = [[] for _ in range(dst.sim.workers)]
+        self.queues: list[list[Batch | Piece]] = [[] for _ in range(dst.sim.workers)]
         # sent since the last delivery (unordered); those not due then wait
         # in the heap ``_later``
         self.in_flight: list[_InFlight] = []
@@ -139,6 +154,12 @@ class Channel:
         u, t = self.undelivered, batch.time
         u[t] = u.get(t, 0) + 1
 
+    def send_all(self, sent: list[_InFlight], time: int) -> None:
+        """Send messages all at ``time`` in one step."""
+        self.in_flight += sent
+        u = self.undelivered
+        u[time] = u.get(time, 0) + len(sent)
+
     def deliver_due(self, now: float) -> None:
         """Queue every message due by ``now`` at its destination, in
         (deliver_time, seq) order."""
@@ -166,7 +187,7 @@ class Channel:
             q[t] = q.get(t, 0) + 1
             queues[w].append(batch)
 
-    def take(self, worker: int) -> list[Batch]:
+    def take(self, worker: int) -> list[Batch | Piece]:
         got = self.queues[worker]
         if got:
             self.queues[worker] = []
@@ -249,8 +270,10 @@ class InputHandle:
         assert f is not None and batch.time >= f, (
             f"send at {batch.time} behind frontier {f} on {self.name}"
         )
+        sim = self.sim
         for ch in self.output_channels:
-            ch.send(dst_worker, batch, self.sim.now, next(self.sim._seq))
+            ch.send(dst_worker, batch, sim.now, sim.seq)
+            sim.seq += 1
 
     def advance_to(self, t: int) -> None:
         f = self.could_produce
@@ -311,8 +334,19 @@ class _Nic:
         return sum(b for _, b in self.queued)
 
 
+def _check_capability(channel: Channel, time: int) -> None:
+    """Timely's capability rule: an operator sends at ``time`` only if its
+    ``could_produce`` from the last frontier pass is not later."""
+    f = channel.src.could_produce
+    assert f is not None and time >= f, (
+        f"{channel.src.name}: send at {time} on {channel.name} behind its "
+        f"capability {f}"
+    )
+
+
 class Ctx:
-    """Charging context for one ``schedule`` call of one instance."""
+    """Charging context of one worker: ``now`` is the worker's clock during
+    the ``schedule`` call it is passed to."""
 
     __slots__ = ("sim", "worker", "now")
 
@@ -327,13 +361,51 @@ class Ctx:
 
     def send(self, channel: Channel, dst_worker: int, batch: Batch) -> None:
         """Send ``batch`` to ``dst_worker``; cross-process goes via the NIC."""
+        _check_capability(channel, batch.time)
         sim = self.sim
         src_p = sim.process_of[self.worker]
         if src_p == sim.process_of[dst_worker]:
             deliver = self.now
         else:
             deliver = sim.nics[src_p].transmit(self.now, batch.nbytes)
-        channel.send(dst_worker, batch, deliver, next(sim._seq))
+        channel.send(dst_worker, batch, deliver, sim.seq)
+        sim.seq += 1
+
+    def scatter(self, channel: Channel, batch: Batch, counts: list[int]) -> None:
+        """Send ``batch``, its records sorted by destination, in one step:
+        worker ``w`` gets the piece of the next ``counts[w]`` records and
+        their share of ``batch.nbytes``.
+
+        Deliver times, NIC queue entries and ``seq`` numbers equal those of
+        one ``send`` per piece in worker order: a cross-process piece starts
+        at ``max(now, busy_until)`` of this process's NIC, plus the
+        transfer times of the pieces before it."""
+        time = batch.time
+        _check_capability(channel, time)
+        sim, now = self.sim, self.now
+        process_of = sim.process_of
+        src_p = process_of[self.worker]
+        nic = sim.nics[src_p]
+        bw, latency, queued = nic.bw, nic.latency, nic.queued
+        per_record = batch.nbytes / max(sum(counts), 1)
+        busy = max(now, nic.busy_until)
+        sent, seq, hi = [], sim.seq, 0
+        for w, n in enumerate(counts):
+            if not n:
+                continue
+            lo, hi = hi, hi + n
+            if process_of[w] == src_p:
+                deliver = now
+            else:
+                nbytes = per_record * n
+                nic.busy_until = busy = busy + nbytes / bw
+                queued.append((busy, nbytes))
+                deliver = busy + latency
+            piece = _tuple_new(Piece, (time, batch, lo, hi))
+            sent.append(_tuple_new(_InFlight, (deliver, seq, w, piece)))
+            seq += 1
+        sim.seq = seq
+        channel.send_all(sent, time)
 
     def record_latency(self, arrivals: np.ndarray) -> None:
         """Record ``now - arrivals``; subtracted and applied at tick end."""
@@ -371,13 +443,15 @@ class Simulation:
         # close only in on_tick callbacks, so one flush per tick is exact
         self.tick_latency: list[tuple[float, np.ndarray]] = []
         self.tick_index = 0
-        self._seq = itertools.count()
+        self.seq = 0  # the next message's sequence number
         self.on_tick: list[Callable[["Simulation", float], None]] = []
         # state bytes per process, maintained by stateful operators, for the
         # memory experiment (Fig 20).
         self.state_bytes = np.zeros(self.cost.processes)
         self.memory_samples: list[tuple[float, np.ndarray]] = []
         self.sample_memory = False
+        # one context per worker; step_tick sets its clock before a schedule
+        self.ctxs = [Ctx(self, w, 0.0) for w in range(self.workers)]
 
     # -- progress tracking -------------------------------------------------
     def recompute_frontiers(self) -> None:
@@ -407,7 +481,7 @@ class Simulation:
         self.now = t0
         for cb in self.on_tick:
             cb(self, t0)
-        worker_busy = self.worker_busy
+        worker_busy, ctxs = self.worker_busy, self.ctxs
         for _ in range(self.PASSES):
             for ch in self.channels:
                 ch.deliver_due(t1)
@@ -419,7 +493,8 @@ class Simulation:
                     busy = worker_busy[w]
                     if busy >= t1:
                         continue  # worker saturated: work waits, latency grows
-                    ctx = Ctx(self, w, busy if busy > t0 else t0)
+                    ctx = ctxs[w]
+                    ctx.now = busy if busy > t0 else t0
                     if inst.schedule(ctx):
                         worker_busy[w] = ctx.now
         self.recompute_frontiers()

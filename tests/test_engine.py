@@ -10,6 +10,7 @@ from repro.timely.cost import CostModel
 from repro.timely.engine import (
     Batch,
     Channel,
+    Ctx,
     InputHandle,
     Operator,
     OperatorInstance,
@@ -381,6 +382,60 @@ class TestNicIntegration:
         assert send(4, 3, 1.0) == pytest.approx(1.5 + lat)
         assert sim.nics[1].busy_until == pytest.approx(1.5)
         assert sim.nics[0].busy_until == pytest.approx(0.75)
+
+
+class TestScatter:
+    @pytest.mark.parametrize("busy_bytes", [0.0, 3.3e6])
+    def test_matches_one_send_per_piece(self, busy_bytes):
+        """``Ctx.scatter``'s deliver times, seqs, NIC queue entries and NIC
+        clock equal those of one ``Ctx.send`` per piece in worker order, bit
+        for bit: same-process and cross-process destinations, from an idle
+        NIC and from one busy past the sender's clock."""
+        counts = [3, 0, 5, 2, 0, 7, 1, 4]  # worker 2 sends; 2 and 3 share a process
+        nbytes = 1234.567
+
+        def run(one_step):
+            sim, inp, op, ch, insts = build_sim(workers=8)
+            ctx = Ctx(sim, 2, 0.0123)
+            if busy_bytes:
+                ctx.send(ch, 7, Batch(time=0, data=None, nbytes=busy_bytes))
+                assert sim.nics[1].busy_until > ctx.now
+            batch = Batch(time=0, data=None, nbytes=nbytes)
+            if one_step:
+                ctx.scatter(ch, batch, counts)
+                pieces = [(m.batch.lo, m.batch.hi) for m in ch.in_flight[-6:]]
+                assert pieces == [(0, 3), (3, 8), (8, 10), (10, 17), (17, 18), (18, 22)]
+            else:
+                per_record = nbytes / sum(counts)
+                for w, n in enumerate(counts):
+                    if n:
+                        ctx.send(ch, w, Batch(time=0, data=None, nbytes=per_record * n))
+            sent = [(m.deliver_time, m.seq, m.dst_worker) for m in ch.in_flight]
+            nic = sim.nics[1]
+            return sent, list(nic.queued), nic.busy_until, sim.seq, ch.undelivered
+
+        assert run(True) == run(False)
+
+
+class TestSendWithinCapability:
+    def test_send_behind_capability_rejected(self):
+        """Both sends check the time against the sending operator's
+        ``could_produce``; a closed operator sends nothing."""
+        sim = Simulation(small_cost())
+        a, b = Operator(sim, "a"), Operator(sim, "b")
+        ch = Channel("ab", a, b)
+        a.could_produce = 10
+        ctx = Ctx(sim, 0, 0.0)
+        ctx.send(ch, 1, Batch(time=10, data=None))
+        ctx.scatter(ch, Batch(time=12, data=None), [1, 1])
+        match = r"a: send at 9 on ab behind its capability 10"
+        with pytest.raises(AssertionError, match=match):
+            ctx.send(ch, 1, Batch(time=9, data=None))
+        with pytest.raises(AssertionError, match=match):
+            ctx.scatter(ch, Batch(time=9, data=None), [0, 1])
+        a.could_produce = None
+        with pytest.raises(AssertionError, match=r"behind its capability None"):
+            ctx.send(ch, 1, Batch(time=10, data=None))
 
 
 class TestLiveness:

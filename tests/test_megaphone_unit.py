@@ -12,11 +12,12 @@ from repro.core.operators import (
     NativeOperator,
     StateLogic,
     take_batch,
+    whole,
 )
 from repro.core.strategies import MigrationDriver, initial_assignment
 from repro.microbench.count import CountLogic
 from repro.timely.cost import CostModel
-from repro.timely.engine import Batch, Ctx, InputHandle, Simulation
+from repro.timely.engine import Batch, Ctx, InputHandle, Piece, Simulation
 from repro.timely.notificator import Notificator
 
 W, BINS, DOMAIN = 4, 16, 1024
@@ -44,8 +45,13 @@ class PostingCount(CountLogic):
 
 
 def drain_all(notif):
-    """Drain ``notif`` as ``(time, batch)`` entries, in order."""
-    return [(t, b) for t, bs in notif.drain(None) for b in bs]
+    """Drain ``notif`` as ``(time, piece)`` entries, in order."""
+    return [(t, p) for t, ps in notif.drain(None) for p in ps]
+
+
+def rows(piece):
+    """The records a piece views, as a batch."""
+    return take_batch(piece.batch, slice(piece.lo, piece.hi))
 
 
 class Rig:
@@ -242,7 +248,7 @@ class TestApplyCharge:
     def _records(n, arrivals=False):
         # more columns than records in the timer batch, as NEXMark's payloads
         data = {c: np.zeros(n, dtype=np.int64) for c in "kwxyz"}
-        return Batch(time=0, data=data, arrivals=np.zeros(n) if arrivals else None)
+        return whole(Batch(time=0, data=data, arrivals=np.zeros(n) if arrivals else None))
 
     @staticmethod
     def _apply(sim, host):
@@ -271,9 +277,11 @@ class TestApplyCharge:
 
 class TestRouting:
     def test_route_matches_take_batch_per_destination(self):
-        """F's gather-then-slice routing against one ``take_batch`` per
-        destination: same destinations in order, columns, arrivals, time and
-        nbytes; worker 1 owns none of the keys and gets no batch."""
+        """F's one send of a gathered batch against one ``take_batch`` per
+        destination: same destinations in order, and each piece views the
+        same columns, arrivals and time; the NIC carries each cross-process
+        destination's bytes. Worker 1 owns none of the keys and gets no
+        piece."""
         r = Rig()
         rng = np.random.default_rng(3)
         width = DOMAIN // BINS
@@ -297,14 +305,17 @@ class TestRouting:
                 expected.append((w, take_batch(batch, idx, per_rec * len(idx))))
         assert [w for w, _ in expected] == [0, 2, 3]
         assert [m.dst_worker for m in sent] == [w for w, _ in expected]
+        assert len({id(m.batch.batch) for m in sent}) == 1  # one gathered batch
         for m, (_, ref) in zip(sent, expected):
-            got = m.batch
+            assert m.batch.time == ref.time
+            got = rows(m.batch)
             assert got.time == ref.time
-            assert got.nbytes == ref.nbytes
             assert got.data.keys() == ref.data.keys()
             for name in ref.data:
                 assert np.array_equal(got.data[name], ref.data[name])
             assert np.array_equal(got.arrivals, ref.arrivals)
+        # workers 2 and 3 are in the other process
+        assert [nb for _, nb in r.sim.nics[0].queued] == [ref.nbytes for _, ref in expected[1:]]
 
 
 class TestStagedPass:
@@ -323,7 +334,7 @@ class TestStagedPass:
                     bins[1] = misplace[2]
                 keys = np.array(bins, dtype=np.int64) * width
                 s_inst.notif.notify_at(
-                    t, Batch(time=t, data={"k": keys}, arrivals=np.zeros(3))
+                    t, whole(Batch(time=t, data={"k": keys}, arrivals=np.zeros(3)))
                 )
         r.data.close()
         r.control.close()
@@ -334,6 +345,39 @@ class TestStagedPass:
         r = Rig()
         self._stage_ripe(r)
         assert [len(r.mo.s_op.instances[w].ripe) for w in range(W)] == [3, 3, 0, 3]
+
+    def test_gather_keeps_piece_order_and_arrivals(self):
+        """Two workers' pieces of one destination-sorted batch, next to
+        whole batches with and without arrivals: each worker applies its
+        pieces' records in arrival order, with the arrivals of those that
+        have them."""
+        r = Rig()
+        width = DOMAIN // BINS
+        t = 1 * MS
+        sorted_keys = np.array([0, 4, 8, 1, 5, 9]) * width  # workers 0,0,0,1,1,1
+        shared = Batch(time=t, data={"k": sorted_keys}, arrivals=np.arange(1, 7) / 10)
+        timer = Batch(time=t, data={"k": np.array([12 * width])})
+        late = Batch(time=t, data={"k": np.array([4 * width + 1])}, arrivals=np.array([0.9]))
+        host0, host1 = r.mo.s_op.instances[:2]
+        for host, piece in [
+            (host0, whole(timer)),
+            (host1, Piece(t, shared, 3, 6)),
+            (host0, Piece(t, shared, 0, 3)),
+            (host0, whole(late)),
+        ]:
+            host.notif.notify_at(t, piece)
+        r.data.close()
+        r.control.close()
+        r.sim.recompute_frontiers()
+        r.mo.s_op.stage(r.sim.cost.tick)
+        got = []
+        for host in (host0, host1):
+            [(time, lo, n, arrivals)] = host.ripe
+            got.append((time, host.cols["k"][lo : lo + n].tolist(), arrivals.tolist()))
+        assert got == [
+            (t, [12 * width, 0, 4 * width, 8 * width, 4 * width + 1], [0.1, 0.2, 0.3, 0.9]),
+            (t, [width, 5 * width, 9 * width], [0.4, 0.5, 0.6]),
+        ]
 
     def test_misplaced_record_names_its_time_bin_and_worker(self):
         r = Rig()
@@ -429,6 +473,42 @@ class TestProgressChecks:
         assert np.count_nonzero(at_post == 0) == 2
 
 
+    @staticmethod
+    def _migrate_late(r):
+        """Migrate bin 0 at 3 ms, certain at once (the control frontier is
+        at 10 ms), while data advances one tick at a time. Worker 0, which
+        hosts bin 0, is saturated until 3.5 ms with a record of bin 0 at
+        time 0 waiting for it, so S's frontier stays at 0 while the data
+        frontier passes 3 ms: F ships the bin in tick 3."""
+        t_mig = 3 * MS
+        r.sim.worker_busy[0] = 3.5e-3
+        r.authority.register([ControlUpdate(t_mig, 0, 2)])
+        r.control.send(1, Batch(time=t_mig, data=[ControlUpdate(t_mig, 0, 2)]))
+        r.control.advance_to(10 * MS)
+        r.send_keys([0], worker=1)
+        for _ in range(8):
+            r.data.advance_to(r.now_ns() + MS)
+            r.tick()
+
+    def test_state_sent_at_the_migration_time_f_holds(self):
+        r = Rig()
+        self._migrate_late(r)
+        assert r.owner_of_bin(0) == [2]
+        assert r.logics[2].counts[0] == 1
+
+    def test_state_sent_behind_capability_rejected(self):
+        """F that drops its capability at the migration time before it ships
+        the bin sends the state behind its own frontier."""
+        r = Rig()
+        shared = r.mo.shared
+        r.mo.f_op.held_times = lambda: [u.time for u in shared.pending[:1]]
+        with pytest.raises(
+            AssertionError,
+            match=r"c.F: send at 3000000 on c.state behind its capability 4000000",
+        ):
+            self._migrate_late(r)
+
+
 class TestAuthorityCompaction:
     def test_driver_bounds_authority_and_keeps_property2(self):
         """A fluid migration of 8 bins registers 8 epochs; the driver
@@ -453,38 +533,34 @@ class TestAuthorityCompaction:
 
 class TestPendingRecordsMigrate:
     def test_notificator_entries_travel_with_bin(self):
-        """A record buffered for the future (post-dated beyond the data
-        frontier) must migrate with its bin and be applied at the new
-        owner (the paper's P(t) = state + pending records)."""
-        r = Rig()
-        # record at a future time: S enqueues it as pending
-        t_future = r.now_ns() + 3 * MS
-        r.data.send(
-            0,
-            Batch(
-                time=t_future,
-                data={"k": np.array([0], dtype=np.int64)},
-                arrivals=np.array([r.sim.tick_index * 1e-3]),
-                nbytes=8.0,
-            ),
-        )
+        """A record pending in the moved bin (a timer L post-dated beyond
+        the migration time) must migrate with its bin and be applied at the
+        new owner (the paper's P(t) = state + pending records)."""
+        r = Rig(logic=PostingCount)
+        r.send_keys([0])  # bin 0 at worker 0: applied at 0, post-dated to POST_AT
         r.advance_both()
         r.tick()
-        # migrate bin 0 at a time before t_future
+        src = r.mo.s_op.instances[0]
+        assert list(src.notif._pending) == [POST_AT]
         t_mig = r.now_ns()
+        assert t_mig < POST_AT
         r.authority.register([ControlUpdate(t_mig, 0, 1)])
         r.control.send(0, Batch(time=t_mig, data=[ControlUpdate(t_mig, 0, 1)]))
-        for _ in range(6):
+        for _ in range(8):
             r.advance_both()
             r.tick()
         assert r.owner_of_bin(0) == [1]
-        assert r.logics[1].counts[0] == 1  # applied at the new owner
-        assert r.total_counts() == 1
+        assert not src.notif._pending
+        assert [(t, k.tolist()) for t, k, _ in r.logics[1].seen] == [(POST_AT, [0])]
+        # the count moved with the state; the timer applied at the new owner
+        assert r.logics[1].counts[0] == 2
+        assert r.total_counts() == 2
 
     def test_extraction_matches_drain_and_renotify(self):
-        """``uninstall_bin`` against the per-batch drain-and-renotify it
-        replaced: batches mixing bins, batches wholly in the moved bin and
-        timer batches (no arrivals), at repeated times."""
+        """``uninstall_bin`` against the per-piece drain-and-renotify it
+        replaced: pieces mixing bins, pieces wholly in the moved bin and
+        timer batches (no arrivals), at repeated times; pieces view the
+        middle of a larger batch."""
         r = Rig()
         s_inst = r.mo.s_op.instances[0]
         b = min(r.logics[0].owned)
@@ -498,20 +574,25 @@ class TestPendingRecordsMigrate:
                     keys = lo + rng.integers(0, DOMAIN // BINS, 4)
                 else:
                     keys = rng.integers(0, DOMAIN, 1 + i % 7)
+                # records of other pieces around this one's
+                pad = i % 3
+                keys = np.concatenate([rng.integers(0, DOMAIN, 2 * pad), keys])
                 arrivals = None if i % 4 == 1 else rng.random(len(keys))
-                notif.notify_at(t, Batch(time=t, data={"k": keys}, arrivals=arrivals))
+                batch = Batch(time=t, data={"k": keys}, arrivals=arrivals)
+                notif.notify_at(t, Piece(t, batch, pad, len(keys) - pad))
 
         def reference(notif):
             keep, moved = Notificator(), []
-            for t, batch in drain_all(notif):
+            for t, piece in drain_all(notif):
+                batch = rows(piece)
                 mask = r.mo.bin_fn(batch.data["k"]) == b
                 if mask.any():
                     moved.append((t, take_batch(batch, np.nonzero(mask)[0])))
                     rest = np.nonzero(~mask)[0]
                     if len(rest):
-                        keep.notify_at(t, take_batch(batch, rest))
+                        keep.notify_at(t, whole(take_batch(batch, rest)))
                 else:
-                    keep.notify_at(t, batch)
+                    keep.notify_at(t, piece)
             return keep, moved
 
         fill(s_inst.notif)
@@ -520,7 +601,7 @@ class TestPendingRecordsMigrate:
         ref, ref_moved = reference(ref)
         _, _, moved = s_inst.uninstall_bin(b)
         for n in (s_inst.notif, ref):
-            n.notify_at(8 * MS, Batch(time=8 * MS, data={"k": np.array([lo])}))
+            n.notify_at(8 * MS, whole(Batch(time=8 * MS, data={"k": np.array([lo])})))
 
         def flat(entries):
             out = []
@@ -531,4 +612,5 @@ class TestPendingRecordsMigrate:
 
         assert any(len(bt.data["k"]) == 4 for _, bt in moved)
         assert flat(moved) == flat(ref_moved)
-        assert flat(drain_all(s_inst.notif)) == flat(drain_all(ref))
+        kept = [[(t, rows(p)) for t, p in drain_all(n)] for n in (s_inst.notif, ref)]
+        assert flat(kept[0]) == flat(kept[1])
