@@ -20,6 +20,7 @@ optionally performs timed migrations via :class:`MigrationDriver`.
 """
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +33,17 @@ from repro.core.strategies import MigrationRecord, initial_assignment, migration
 from repro.latency.histogram import LatencyHistogram
 from repro.timely.cost import CostModel
 from repro.timely.engine import Simulation
+
+
+def untouched_zeros(n: int) -> np.ndarray:
+    """``n`` int64 zeros in a private anonymous mapping of their own.
+
+    A worker writes only the pages of the bins it owns, and only those
+    become resident, however many runs came before. ``np.zeros`` gives no
+    such bound: once an earlier run's freed arrays sit in the C heap,
+    ``calloc`` serves the array from there and clears, so makes resident,
+    every page (each of 16 workers then holds the whole key range)."""
+    return np.frombuffer(mmap.mmap(-1, n * 8, flags=mmap.MAP_PRIVATE), dtype=np.int64)
 
 
 class CountLogic(StateLogic):
@@ -50,7 +62,7 @@ class CountLogic(StateLogic):
         self.scaled_keys = scaled_keys
         self.n_bins = n_bins
         self.bin_nbytes = bin_nbytes
-        self.counts = np.zeros(scaled_keys, dtype=np.int64)
+        self.counts = untouched_zeros(scaled_keys)
         self.owned = {int(b) for b in np.nonzero(assignment == worker)[0]}
 
     def apply(self, time: int, data) -> None:
@@ -76,7 +88,7 @@ class NativeCountLogic(StateLogic):
     """Baseline: per-worker dense counts, no bins (not migrateable)."""
 
     def __init__(self, worker: int, scaled_keys: int):
-        self.counts = np.zeros(scaled_keys, dtype=np.int64)
+        self.counts = untouched_zeros(scaled_keys)
 
     def apply(self, time: int, data) -> None:
         np.add.at(self.counts, data["k"], 1)

@@ -2,6 +2,12 @@
 walk-through: buffering while the control frontier lags, migration
 initiation gated on the S-output probe, capability holding, and pending
 records travelling with their bin."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -614,3 +620,42 @@ class TestPendingRecordsMigrate:
         assert flat(moved) == flat(ref_moved)
         kept = [[(t, rows(p)) for t, p in drain_all(n)] for n in (s_inst.notif, ref)]
         assert flat(kept[0]) == flat(kept[1])
+
+
+class TestCountMemory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap, /proc")
+    def test_counts_stay_unresident_after_a_freed_heap(self):
+        """A worker's counts make resident only the pages it writes, also
+        where freed arrays of an earlier run sit in the heap (``np.zeros``
+        would clear them all: 16 workers x 8 MB)."""
+        code = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.microbench.count import CountLogic
+
+            def rss():
+                return int(open("/proc/self/statm").read().split()[1]) * 4096
+
+            np.zeros(1 << 20)  # freed at once: glibc maps 8 MB from the heap now
+            freed = [np.zeros(1 << 20) for _ in range(16)]
+            pin = np.ones(1 << 17)  # above them, so their heap is kept
+            del freed
+            before = rss()
+            assign = np.zeros(1024, dtype=np.int64)
+            logics = [
+                CountLogic(w, scaled_keys=1 << 20, n_bins=1024, bin_nbytes=1.0, assignment=assign)
+                for w in range(16)
+            ]
+            print(rss() - before)
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) < 16 * 2**20
