@@ -29,7 +29,7 @@ from repro.core.strategies import (
     rebalance_moves,
 )
 from repro.latency.histogram import LatencyHistogram
-from repro.timely.engine import Batch, InputHandle, Simulation
+from repro.timely.engine import ARRIVAL, Batch, InputHandle, Simulation
 
 
 def run_open_loop(
@@ -62,10 +62,11 @@ def run_open_loop(
 
     ``source(t0)`` returns the records that arrived during the tick before
     ``t0``, as ``(data, arrival times in seconds)``, or None if there were
-    none. Each tick's records go to one worker per process, rotating each
-    tick; ``key_dest`` instead sends every record to the worker it maps the
-    record to (for an operator that cannot exchange its input itself). The
-    steady-state histogram covers ``[warmup_s, first migration)``, or
+    none; the times become the column ``ARRIVAL``. Each tick's records go
+    to one worker per process, rotating each tick; ``key_dest`` instead
+    sends every record to the worker it maps the record to (for an
+    operator that cannot exchange its input itself). The steady-state
+    histogram covers ``[warmup_s, first migration)``, or
     ``[warmup_s, duration_s)`` when no migration is scheduled.
     """
     cost = sim.cost
@@ -121,7 +122,7 @@ def run_open_loop(
         got = source(t0)
         if got is not None:
             data, arrivals = got
-            tick = Batch(time=t_ns, data=data, arrivals=arrivals)
+            tick = Batch(time=t_ns, data={**data, ARRIVAL: arrivals})
             if key_dest is None:
                 # the paper's harness feeds at every process; rotation keeps
                 # the ingest-side routing cost balanced across workers

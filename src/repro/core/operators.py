@@ -29,7 +29,8 @@ gather of all their ripe pieces and, for S, one bin computation that feeds
 both the Property-2 check and L's ``bin`` column. Each instance's
 ``schedule`` then charges, in worker order. A notificator holds pieces only
 (post-dated and installed records are whole batches); a piece entering it
-must be later than every time that host applied.
+must be later than every time that host applied. S takes the records'
+``ARRIVAL`` column out before L applies them.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ import numpy as np
 
 from repro.core.control import ConfigAuthority, ControlUpdate, RoutingTable
 from repro.timely.engine import (
+    ARRIVAL,
     Batch,
     Channel,
     Ctx,
@@ -96,7 +98,6 @@ def take_batch(batch: Batch, idx: np.ndarray | slice, nbytes: float = 0.0) -> Ba
     return Batch(
         time=batch.time,
         data={name: col[idx] for name, col in batch.data.items()},
-        arrivals=None if batch.arrivals is None else batch.arrivals[idx],
         nbytes=nbytes,
     )
 
@@ -262,49 +263,33 @@ class _HostOperator(Operator):
             return
         # one gather over the concatenated distinct batches the pieces view:
         # the index is arange(records) plus, per piece, the shift from its
-        # place in the output to its first record; the same for arrivals,
-        # which post-dated batches lack (no piece is empty)
-        first = {}  # id(batch) -> its first record, first arrival or None
-        batches, arrs = [], []
-        shifts, lens, ashifts, alens, counts, acounts = [], [], [], [], [], []
-        rows = arows = pos = apos = 0  # in the concatenations; in the output
+        # place in the output to its first record (no piece is empty)
+        first = {}  # id(batch) -> its first record in the concatenation
+        batches, shifts, lens, counts = [], [], [], []
+        rows = pos = 0  # records in the concatenation; in the output
         for _, _, ps in groups:
-            pos0, apos0 = pos, apos
+            pos0 = pos
             for _, b, lo, hi in ps:
                 at = first.get(id(b))
                 if at is None:
-                    at = first[id(b)] = (rows, None if b.arrivals is None else arows)
+                    at = first[id(b)] = rows
                     batches.append(b)
-                    size = len(b.data["k"])
-                    rows += size
-                    if b.arrivals is not None:
-                        arrs.append(b.arrivals)
-                        arows += size
-                k = hi - lo
-                shifts.append(at[0] + lo - pos)
-                lens.append(k)
-                pos += k
-                if at[1] is not None:
-                    ashifts.append(at[1] + lo - apos)
-                    alens.append(k)
-                    apos += k
+                    rows += len(b.data["k"])
+                shifts.append(at + lo - pos)
+                lens.append(hi - lo)
+                pos += hi - lo
             counts.append(pos - pos0)
-            acounts.append(apos - apos0)
         idx = np.arange(pos) + np.repeat(shifts, lens)
         cols = {
             name: np.concatenate([b.data[name] for b in batches])[idx]
             for name in batches[0].data
         }
-        arrivals = None
-        if arrs:  # every batch has arrivals: the records' index serves
-            aidx = idx if arows == rows else np.arange(apos) + np.repeat(ashifts, alens)
-            arrivals = np.concatenate(arrs)[aidx]
-        lo = alo = 0
-        for (host, t, _), n, na in zip(groups, counts, acounts):
+        arrivals = cols.pop(ARRIVAL)
+        lo = 0
+        for (host, t, _), n in zip(groups, counts):
             host.cols = cols  # sliced per time as it applies, to bound memory
-            host.ripe.append((t, lo, n, arrivals[alo : alo + na] if na else None))
+            host.ripe.append((t, lo, n, arrivals[lo : lo + n]))
             lo += n
-            alo += na
         owner = self.owner
         if owner.bin_fn is None:
             return
@@ -363,11 +348,11 @@ class _LogicHost(OperatorInstance):
         for t, lo, n, arrivals in self.ripe:
             logic.apply(t, {name: col[lo : lo + n] for name, col in self.cols.items()})
             ctx.charge(n * c_record)
-            if arrivals is not None:
-                ctx.record_latency(arrivals)
+            ctx.record_latency(arrivals)
             self.applied = t
             for pt, pdata in logic.take_postdated():
-                self.enqueue(pt, whole(Batch(time=pt, data=pdata)))
+                nan = np.full(len(pdata["k"]), np.nan)
+                self.enqueue(pt, whole(Batch(time=pt, data={**pdata, ARRIVAL: nan})))
         self.ripe = []
         return True
 
@@ -378,30 +363,30 @@ class _SInstance(_LogicHost):
     def uninstall_bin(self, b: int) -> tuple[Any, float, list]:
         """Shared-pointer extraction used by the co-located F instance:
         removes the bin's state *and* its pending records, which leave as
-        batches; a piece's records that stay become a whole batch."""
-        bin_fn = self.owner.bin_fn
+        ``(time, batch)`` in (time, arrival) order; the rest stay pending in
+        order, a piece's kept records as one whole batch."""
         payload, nbytes = self.logic.extract_bin(b)
-
-        def split(pieces: list[Piece]) -> list[tuple]:
-            keys = [bt.data["k"][lo:hi] for _, bt, lo, hi in pieces]
-            in_bin = bin_fn(np.concatenate(keys)) == b
-            ends = np.cumsum([len(k) for k in keys])
-            parts = []
-            for piece, mask in zip(pieces, np.split(in_bin, ends[:-1])):
-                if not mask.any():
-                    parts.append((None, piece))
-                    continue
-                _, bt, lo, _ = piece
-                rest = lo + np.nonzero(~mask)[0]
-                kept = whole(take_batch(bt, rest)) if len(rest) else None
-                parts.append((take_batch(bt, lo + np.nonzero(mask)[0]), kept))
-            return parts
-
-        moved = self.notif.split(split)
-        # NOTE: sender-side state bytes are *not* released here — the
-        # serialised copy queues on the NIC and the original allocation is
-        # only returned once the transfer completes (this is the paper's
-        # Fig 20 all-at-once memory spike); release happens at install time.
+        # NOTE: sender-side state bytes are released at install, not here:
+        # the original allocation lives until the serialised copy has left
+        # the NIC (the paper's Fig 20 all-at-once memory spike)
+        pending = [(t, p) for t, ps in self.notif.drain(None) for p in ps]
+        if not pending:
+            return payload, nbytes, []
+        keys = [bt.data["k"][lo:hi] for _, (_, bt, lo, hi) in pending]
+        in_bin = self.owner.bin_fn(np.concatenate(keys)) == b
+        ends = np.cumsum([len(k) for k in keys]).tolist()
+        hits = np.logical_or.reduceat(in_bin, [0] + ends[:-1]).tolist()
+        moved = []
+        for (t, piece), end, hit in zip(pending, ends, hits):
+            if not hit:
+                self.enqueue(t, piece)
+                continue
+            _, bt, lo, hi = piece
+            mask = in_bin[end - (hi - lo) : end]
+            moved.append((t, take_batch(bt, lo + np.flatnonzero(mask))))
+            rest = lo + np.flatnonzero(~mask)
+            if len(rest):
+                self.enqueue(t, whole(take_batch(bt, rest)))
         return payload, nbytes, moved
 
     def take_inputs(self, gate: Optional[float]) -> bool:

@@ -25,9 +25,10 @@ Simulated time is float seconds. Each worker has a clock (``busy_until``);
 scheduling runs in ticks of ``cost.tick`` seconds. Cross-process messages
 queue on the sending process's NIC (bandwidth ``cost.nic_bw``), which is what
 produces both the all-at-once latency spike and its memory spike (paper §5.3.5).
-``Ctx.record_latency`` keeps ``(now, arrivals)``; the tick's end subtracts
-them all in one numpy operation and records them in ``Simulation.latency``
-and the open ``latency_windows``.
+``Ctx.record_latency`` keeps ``(now, arrivals)``, from the records' column
+:data:`ARRIVAL`; the tick's end subtracts them all in one numpy operation
+and records them, but for NaN ones (post-dated records), in
+``Simulation.latency`` and the open ``latency_windows``.
 
 Bookkeeping is per pass and per logical time, not per message: a channel
 counts its undelivered and queued messages per time (a frontier is a
@@ -64,20 +65,21 @@ def frontier_min(a: Optional[float], b: Optional[float]) -> Optional[float]:
     return a if b is None or (a is not None and a <= b) else b
 
 
+ARRIVAL = "arrival"  # records' arrival times in simulated s; NaN if post-dated
+
+
 @dataclass(eq=False, slots=True)
 class Batch:
     """A timestamped batch of records.
 
     All records in a batch share one logical timestamp ``time`` (the tick
-    their event time falls in); ``arrivals`` carries each record's exact
-    arrival in simulated seconds for latency measurement. ``data`` is
-    workload-defined (dict of numpy arrays, pandas DataFrame, or state
-    payloads); ``nbytes`` is the modelled wire size.
+    their event time falls in). ``data`` is workload-defined: records as a
+    dict of equal-length columns, :data:`ARRIVAL` among them, control
+    updates or state payloads; ``nbytes`` is the modelled wire size.
     """
 
     time: int
     data: Any
-    arrivals: Optional[np.ndarray] = None
     nbytes: float = 0.0
 
 
@@ -408,7 +410,7 @@ class Ctx:
         channel.send_all(sent, time)
 
     def record_latency(self, arrivals: np.ndarray) -> None:
-        """Record ``now - arrivals``; subtracted and applied at tick end."""
+        """Record ``now - arrivals`` at tick end; NaN arrivals record nothing."""
         self.sim.tick_latency.append((self.now, arrivals))
 
 
@@ -502,6 +504,7 @@ class Simulation:
             nows, arrivals = zip(*self.tick_latency)
             self.tick_latency = []
             lat = np.repeat(nows, [len(a) for a in arrivals]) - np.concatenate(arrivals)
+            lat = lat[~np.isnan(lat)]
             idx = LatencyHistogram.index(lat)
             self.latency.record(lat, idx)
             for w in self.latency_windows:

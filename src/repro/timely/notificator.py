@@ -2,8 +2,8 @@
 
 Timely's stock notificator tracks only future *times*; Megaphone extends it
 to buffer full ``(time, data)`` pending work in a priority queue so that the
-pending records travel with the state during a migration. Here each entry is
-a :class:`repro.timely.engine.Batch`-like payload keyed by logical time.
+pending records travel with the state during a migration. Here each payload
+is a :class:`repro.timely.engine.Piece`, a view of the records of one batch.
 
 Pending work is keyed by time: a heap of the distinct times, and each
 time's payloads in arrival order.
@@ -15,7 +15,7 @@ the work is done.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 
 class Notificator:
@@ -51,22 +51,3 @@ class Notificator:
             t = heapq.heappop(times)
             out.append((t, self._pending.pop(t)))
         return out
-
-    def split(self, parts: Callable[[list], list[tuple]]) -> list[tuple[int, Any]]:
-        """Split all pending entries in one call (used when migrating a bin):
-        ``parts`` maps the payloads, in (time, arrival) order, to one (moved,
-        kept) pair each, either may be None. Kept parts stay pending in
-        order; moved parts are returned as (time, payload) in order."""
-        if not self._times:
-            return []
-        self._times.sort()  # a sorted list is a heap
-        entries = [(t, p) for t in self._times for p in self._pending[t]]
-        moved, pending = [], {}
-        for (t, _), (m, k) in zip(entries, parts([p for _, p in entries])):
-            if m is not None:
-                moved.append((t, m))
-            if k is not None:
-                pending.setdefault(t, []).append(k)
-        self._pending = pending
-        self._times = [t for t in self._times if t in pending]
-        return moved

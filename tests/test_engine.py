@@ -474,6 +474,26 @@ class TestLiveness:
         assert sim.latency.total >= 1
         assert window.total == sim.latency.total
 
+    def test_nan_arrivals_record_no_latency(self):
+        """Post-dated records arrived at no time (NaN arrivals): the tick
+        records only the finite latencies, in the total and in an open
+        window, also where a call holds NaN arrivals only."""
+        sim = Simulation(small_cost())
+        window = LatencyHistogram()
+        sim.latency_windows.append(window)
+
+        def record(sim_, t0):
+            ctx = sim_.ctxs[0]
+            ctx.now = t0 + 0.004
+            ctx.record_latency(np.array([0.003, np.nan, 0.001]))
+            ctx.record_latency(np.array([np.nan, np.nan]))
+
+        sim.on_tick.append(record)
+        sim.step_tick()
+        for hist in (sim.latency, window):
+            assert hist.total == 2
+            assert hist.max == pytest.approx(0.003)
+
     def test_memory_sampling(self):
         sim, inp, op, ch, insts = build_sim()
         sim.sample_memory = True

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.binning import range_bin_of_keys
 from repro.core.control import ConfigAuthority, ControlUpdate
@@ -23,7 +24,7 @@ from repro.core.operators import (
 from repro.core.strategies import MigrationDriver, initial_assignment
 from repro.microbench.count import CountLogic
 from repro.timely.cost import CostModel
-from repro.timely.engine import Batch, Ctx, InputHandle, Piece, Simulation
+from repro.timely.engine import ARRIVAL, Batch, Ctx, InputHandle, Piece, Simulation
 from repro.timely.notificator import Notificator
 
 W, BINS, DOMAIN = 4, 16, 1024
@@ -112,8 +113,10 @@ class Rig:
             worker,
             Batch(
                 time=t,
-                data={"k": np.array(keys, dtype=np.int64)},
-                arrivals=np.full(len(keys), self.sim.tick_index * 1e-3),
+                data={
+                    "k": np.array(keys, dtype=np.int64),
+                    ARRIVAL: np.full(len(keys), self.sim.tick_index * 1e-3),
+                },
                 nbytes=8.0 * len(keys),
             ),
         )
@@ -224,8 +227,8 @@ class TestMigrationInitiation:
 
 
 class TestApplyCharge:
-    """An apply charges ``c_record`` per record it applies, arrivals or not
-    (NEXMark timers carry none)."""
+    """An apply charges ``c_record`` per record it applies, arrived or
+    post-dated (NEXMark timers, whose arrivals are NaN)."""
 
     C_RECORD = 1e-6
 
@@ -254,7 +257,8 @@ class TestApplyCharge:
     def _records(n, arrivals=False):
         # more columns than records in the timer batch, as NEXMark's payloads
         data = {c: np.zeros(n, dtype=np.int64) for c in "kwxyz"}
-        return whole(Batch(time=0, data=data, arrivals=np.zeros(n) if arrivals else None))
+        data[ARRIVAL] = np.zeros(n) if arrivals else np.full(n, np.nan)
+        return whole(Batch(time=0, data=data))
 
     @staticmethod
     def _apply(sim, host):
@@ -285,9 +289,9 @@ class TestRouting:
     def test_route_matches_take_batch_per_destination(self):
         """F's one send of a gathered batch against one ``take_batch`` per
         destination: same destinations in order, and each piece views the
-        same columns, arrivals and time; the NIC carries each cross-process
-        destination's bytes. Worker 1 owns none of the keys and gets no
-        piece."""
+        same columns, arrivals among them, and time; the NIC carries each
+        cross-process destination's bytes. Worker 1 owns none of the keys
+        and gets no piece."""
         r = Rig()
         rng = np.random.default_rng(3)
         width = DOMAIN // BINS
@@ -295,8 +299,11 @@ class TestRouting:
         keys = bins * width + rng.integers(0, width, len(bins))
         batch = Batch(
             time=4 * MS,
-            data={"k": keys, "v": rng.random(len(keys))},
-            arrivals=np.sort(rng.random(len(keys))),
+            data={
+                "k": keys,
+                "v": rng.random(len(keys)),
+                ARRIVAL: np.sort(rng.random(len(keys))),
+            },
             nbytes=1000.3,
         )
         r.mo.f_op.instances[0]._route(Ctx(r.sim, 0, 0.0), batch)
@@ -319,7 +326,6 @@ class TestRouting:
             assert got.data.keys() == ref.data.keys()
             for name in ref.data:
                 assert np.array_equal(got.data[name], ref.data[name])
-            assert np.array_equal(got.arrivals, ref.arrivals)
         # workers 2 and 3 are in the other process
         assert [nb for _, nb in r.sim.nics[0].queued] == [ref.nbytes for _, ref in expected[1:]]
 
@@ -340,7 +346,7 @@ class TestStagedPass:
                     bins[1] = misplace[2]
                 keys = np.array(bins, dtype=np.int64) * width
                 s_inst.notif.notify_at(
-                    t, whole(Batch(time=t, data={"k": keys}, arrivals=np.zeros(3)))
+                    t, whole(Batch(time=t, data={"k": keys, ARRIVAL: np.zeros(3)}))
                 )
         r.data.close()
         r.control.close()
@@ -353,17 +359,18 @@ class TestStagedPass:
         assert [len(r.mo.s_op.instances[w].ripe) for w in range(W)] == [3, 3, 0, 3]
 
     def test_gather_keeps_piece_order_and_arrivals(self):
-        """Two workers' pieces of one destination-sorted batch, next to
-        whole batches with and without arrivals: each worker applies its
-        pieces' records in arrival order, with the arrivals of those that
-        have them."""
+        """Two workers' pieces of one destination-sorted batch, next to a
+        post-dated batch (NaN arrivals) and a whole routed batch: each
+        worker applies its pieces' records in arrival order with their
+        arrivals, and the tick records the latency of the arrived records
+        only."""
         r = Rig()
         width = DOMAIN // BINS
         t = 1 * MS
         sorted_keys = np.array([0, 4, 8, 1, 5, 9]) * width  # workers 0,0,0,1,1,1
-        shared = Batch(time=t, data={"k": sorted_keys}, arrivals=np.arange(1, 7) / 10)
-        timer = Batch(time=t, data={"k": np.array([12 * width])})
-        late = Batch(time=t, data={"k": np.array([4 * width + 1])}, arrivals=np.array([0.9]))
+        shared = Batch(time=t, data={"k": sorted_keys, ARRIVAL: np.arange(1, 7) / 10})
+        timer = Batch(time=t, data={"k": np.array([12 * width]), ARRIVAL: [np.nan]})
+        late = Batch(time=t, data={"k": np.array([4 * width + 1]), ARRIVAL: [0.9]})
         host0, host1 = r.mo.s_op.instances[:2]
         for host, piece in [
             (host0, whole(timer)),
@@ -376,14 +383,22 @@ class TestStagedPass:
         r.control.close()
         r.sim.recompute_frontiers()
         r.mo.s_op.stage(r.sim.cost.tick)
-        got = []
-        for host in (host0, host1):
+        for host, keys, arrs in [
+            (
+                host0,
+                [12 * width, 0, 4 * width, 8 * width, 4 * width + 1],
+                [np.nan, 0.1, 0.2, 0.3, 0.9],
+            ),
+            (host1, [width, 5 * width, 9 * width], [0.4, 0.5, 0.6]),
+        ]:
             [(time, lo, n, arrivals)] = host.ripe
-            got.append((time, host.cols["k"][lo : lo + n].tolist(), arrivals.tolist()))
-        assert got == [
-            (t, [12 * width, 0, 4 * width, 8 * width, 4 * width + 1], [0.1, 0.2, 0.3, 0.9]),
-            (t, [width, 5 * width, 9 * width], [0.4, 0.5, 0.6]),
-        ]
+            assert ARRIVAL not in host.cols  # L never sees the column
+            assert time == t
+            assert host.cols["k"][lo : lo + n].tolist() == keys
+            assert np.array_equal(arrivals, arrs, equal_nan=True)
+            assert host.schedule(Ctx(r.sim, host.worker, 0.0))
+        r.tick()  # the tick's end records the latencies the hosts kept
+        assert r.sim.latency.total == 7
 
     def test_misplaced_record_names_its_time_bin_and_worker(self):
         r = Rig()
@@ -565,7 +580,7 @@ class TestPendingRecordsMigrate:
     def test_extraction_matches_drain_and_renotify(self):
         """``uninstall_bin`` against the per-piece drain-and-renotify it
         replaced: pieces mixing bins, pieces wholly in the moved bin and
-        timer batches (no arrivals), at repeated times; pieces view the
+        timer batches (NaN arrivals), at repeated times; pieces view the
         middle of a larger batch."""
         r = Rig()
         s_inst = r.mo.s_op.instances[0]
@@ -583,8 +598,11 @@ class TestPendingRecordsMigrate:
                 # records of other pieces around this one's
                 pad = i % 3
                 keys = np.concatenate([rng.integers(0, DOMAIN, 2 * pad), keys])
-                arrivals = None if i % 4 == 1 else rng.random(len(keys))
-                batch = Batch(time=t, data={"k": keys}, arrivals=arrivals)
+                if i % 4 == 1:  # post-dated
+                    arrivals = np.full(len(keys), np.nan)
+                else:
+                    arrivals = rng.random(len(keys))
+                batch = Batch(time=t, data={"k": keys, ARRIVAL: arrivals})
                 notif.notify_at(t, Piece(t, batch, pad, len(keys) - pad))
 
         def reference(notif):
@@ -607,19 +625,85 @@ class TestPendingRecordsMigrate:
         ref, ref_moved = reference(ref)
         _, _, moved = s_inst.uninstall_bin(b)
         for n in (s_inst.notif, ref):
-            n.notify_at(8 * MS, whole(Batch(time=8 * MS, data={"k": np.array([lo])})))
+            late = {"k": np.array([lo]), ARRIVAL: np.array([0.5])}
+            n.notify_at(8 * MS, whole(Batch(time=8 * MS, data=late)))
 
         def flat(entries):
             out = []
             for t, bt in entries:
-                arr = None if bt.arrivals is None else bt.arrivals.tolist()
-                out.append((t, bt.data["k"].tolist(), arr))
+                out.append((t, bt.data["k"].tolist(), bt.data[ARRIVAL].tobytes()))
             return out
 
         assert any(len(bt.data["k"]) == 4 for _, bt in moved)
         assert flat(moved) == flat(ref_moved)
         kept = [[(t, rows(p)) for t, p in drain_all(n)] for n in (s_inst.notif, ref)]
         assert flat(kept[0]) == flat(kept[1])
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_uninstall_bin_splits_pending_in_order(self, data):
+        """Pending pieces at several times (views into shared routed
+        batches, and whole post-dated batches with NaN arrivals): the moved
+        records are exactly the bin's, in (time, arrival) order with their
+        arrivals; the rest stay pending in that order and hold the earliest
+        of their times; a piece enqueued afterwards queues behind the kept
+        ones of its time."""
+        r = Rig()
+        s_inst = r.mo.s_op.instances[0]
+        width = DOMAIN // BINS
+        b = data.draw(st.sampled_from([0, 4]))  # worker 0 owns both
+        times = st.sampled_from([5 * MS, 6 * MS, 7 * MS])
+        keys = st.lists(
+            st.sampled_from([0, 1, 4]).flatmap(
+                lambda kb: st.integers(kb * width, (kb + 1) * width - 1)
+            ),
+            min_size=1,
+            max_size=8,
+        )
+
+        def batch(t, ks, arrivals):
+            return Batch(time=t, data={"k": np.array(ks), ARRIVAL: arrivals})
+
+        # routed batches with distinct arrivals
+        routed = data.draw(st.lists(st.tuples(times, keys), min_size=1, max_size=3))
+        shared = [
+            batch(t, ks, j + np.arange(len(ks)) / 10) for j, (t, ks) in enumerate(routed)
+        ]
+
+        @st.composite
+        def view(draw):
+            bt = draw(st.sampled_from(shared))
+            n = len(bt.data["k"])
+            lo = draw(st.integers(0, n - 1))
+            return Piece(bt.time, bt, lo, draw(st.integers(lo + 1, n)))
+
+        timer = st.tuples(times, keys).map(
+            lambda tk: whole(batch(*tk, np.full(len(tk[1]), np.nan)))
+        )
+        pieces = data.draw(st.lists(st.one_of(view(), timer), max_size=10))
+        for piece in pieces:
+            s_inst.enqueue(piece.time, piece)
+
+        def records(entries):
+            """(time, key, arrival or None) of each record, in order."""
+            return [
+                (t, int(k), None if np.isnan(a) else float(a))
+                for t, bt in entries
+                for k, a in zip(bt.data["k"], bt.data[ARRIVAL])
+            ]
+
+        by_time = sorted(pieces, key=lambda p: p.time)  # stable: arrival order
+        expected = records((p.time, rows(p)) for p in by_time)
+        _, _, moved = s_inst.uninstall_bin(b)
+        assert all(bt.time == t for t, bt in moved)
+        assert records(moved) == [rec for rec in expected if rec[1] // width == b]
+        kept = [rec for rec in expected if rec[1] // width != b]
+        assert s_inst.held_times() == sorted({t for t, _, _ in kept})[:1]
+        after = (6 * MS, width, 99.0)
+        s_inst.enqueue(6 * MS, whole(batch(6 * MS, [width], [99.0])))
+        pending = records((t, rows(p)) for t, p in drain_all(s_inst.notif))
+        assert pending == sorted(kept + [after], key=lambda rec: rec[0])
 
 
 class TestCountMemory:

@@ -1,9 +1,13 @@
 """Streaming NEXMark (native + Megaphone on the simulated runtime) checked
 against DuckDB ground truth — including runs that migrate state mid-query,
 which must not change any result (Property 1)."""
+from collections import Counter
+from functools import cache
+
 import duckdb
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.nexmark.generator import nexmark_events, split_events
 from repro.nexmark.stream import run_nexmark
@@ -172,3 +176,59 @@ class TestMigrationBehaviour:
     def test_native_rejects_migration(self):
         with pytest.raises(AssertionError):
             run("q3", "native", MIGRATION)
+
+
+ADV_EVENTS, ADV_BINS, ADV_W = 6_000, 64, 8
+
+
+def adversarial_run(query, migrations=None):
+    """Q4 or Q5 over 6k events (0.6 s) on Megaphone. Their timers stay
+    pending until the input closes, so every moved bin carries some."""
+    return run_nexmark(
+        query=query,
+        impl="megaphone",
+        n_events=ADV_EVENTS,
+        rate_per_s=10_000,
+        n_bins=ADV_BINS,
+        seed=SEED,
+        migrations=migrations,
+    )
+
+
+@cache
+def unmigrated_results(query):
+    return Counter(adversarial_run(query).results)
+
+
+@st.composite
+def moves(draw, bins=st.integers(0, ADV_BINS - 1)):
+    """A move set, maybe empty: random targets, some the current owner."""
+    return [
+        (b, b % ADV_W if draw(st.booleans()) else draw(st.integers(0, ADV_W - 1)))
+        for b in draw(st.lists(bins, max_size=12, unique=True))
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    query=st.sampled_from(["q4", "q5"]),
+    strategy=st.sampled_from(["all_at_once", "batched", "fluid"]),
+    at_s=st.floats(0.05, 0.4),
+    first=moves(),
+    data=st.data(),
+)
+def test_adversarial_plans_keep_results(query, strategy, at_s, first, data):
+    """A random plan, then a second one queued a tick later, while the
+    first is active, that moves some of its bins again: the results equal
+    the unmigrated run's as multisets, both migrations complete and the
+    run drains (Property 3, asserted by the run)."""
+    second = data.draw(moves(st.sampled_from([b for b, _ in first] or [0])))
+    r = adversarial_run(
+        query,
+        [
+            {"at_s": at_s, "moves": first, "strategy": strategy},
+            {"at_s": at_s + 0.001, "moves": second, "strategy": strategy},
+        ],
+    )
+    assert Counter(r.results) == unmigrated_results(query)
+    assert all(rec.completed_s is not None for rec in r.migrations)

@@ -68,23 +68,3 @@ class TestNotificator:
         ripe = [t for t, _ in entries(n, frontier)]
         assert ripe == sorted(t for t in times if t < frontier)
         assert [t for t, _ in entries(n, None)] == sorted(t for t in times if t >= frontier)
-
-    @given(st.lists(st.integers(0, 20), max_size=40))
-    def test_split_keeps_time_seq_order(self, times):
-        """Payload i moves if i % 3 != 2 and stays if i % 3 != 0."""
-        n = Notificator()
-        for i, t in enumerate(times):
-            n.notify_at(t, i)
-        seen = []
-
-        def parts(payloads):
-            seen.extend(payloads)
-            return [(p if p % 3 != 2 else None, p if p % 3 else None) for p in payloads]
-
-        moved = n.split(parts)
-        n.notify_at(10, 999)  # new entries queue behind kept ones of equal time
-        entries_in_order = sorted((t, i) for i, t in enumerate(times))
-        assert seen == [i for _, i in entries_in_order]
-        assert moved == [(t, i) for t, i in entries_in_order if i % 3 != 2]
-        kept = [(t, i) for t, i in entries_in_order if i % 3]
-        assert entries(n, None) == sorted(kept + [(10, 999)])
