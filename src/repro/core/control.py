@@ -38,7 +38,9 @@ class RoutingTable:
     def __init__(self, n_bins: int, initial: np.ndarray):
         assert len(initial) == n_bins
         self.times: list[int] = [0]
-        self.tables: list[np.ndarray] = [np.asarray(initial, dtype=np.int64).copy()]
+        # workers as 16-bit ints: F's stable sort by destination is then a
+        # radix sort
+        self.tables: list[np.ndarray] = [np.asarray(initial, dtype=np.uint16).copy()]
 
     def owner_before(self, time: int, b: int) -> int:
         """Owner of bin ``b`` for times just before ``time``."""

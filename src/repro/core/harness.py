@@ -125,18 +125,22 @@ def run_open_loop(
             tick = Batch(time=t_ns, data={**data, ARRIVAL: arrivals})
             if key_dest is None:
                 # the paper's harness feeds at every process; rotation keeps
-                # the ingest-side routing cost balanced across workers
+                # the ingest-side routing cost balanced across workers. Each
+                # gets a contiguous part (views), sized as np.array_split does
                 wpp = cost.workers_per_process
-                group = sim_.tick_index % wpp
-                targets = [w for w in range(W) if w % wpp == group]
-                parts = np.array_split(np.arange(len(arrivals)), len(targets))
+                targets = range(sim_.tick_index % wpp, W, wpp)
+                size, extra = divmod(len(arrivals), len(targets))
+                parts, hi = [], 0
+                for i, w in enumerate(targets):
+                    lo, hi = hi, hi + size + (i < extra)
+                    parts.append((w, slice(lo, hi), hi - lo))
             else:
                 dest = key_dest(data)
-                targets = range(W)
-                parts = [np.flatnonzero(dest == w) for w in targets]
-            for w, part in zip(targets, parts):
-                if len(part):
-                    data_in.send(w, take_batch(tick, part, record_nbytes * len(part)))
+                idxs = [np.flatnonzero(dest == w) for w in range(W)]
+                parts = [(w, idx, len(idx)) for w, idx in enumerate(idxs)]
+            for w, part, n in parts:
+                if n:
+                    data_in.send(w, take_batch(tick, part, record_nbytes * n))
         data_in.advance_to(t_ns + tick_ns)
 
     sim.on_tick.insert(0, feed)

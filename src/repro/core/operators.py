@@ -4,10 +4,11 @@
 two-operator construction of Figure 3b:
 
 * **F** ingests the data stream and the control stream. It routes data by
-  the timestamped bin→worker configuration, buffering records whose time is
-  in advance of the control frontier. It integrates configuration updates
-  once certain, and initiates migrations: when the S-output probe shows that
-  a bin's state has absorbed all updates before the migration time, the F
+  the timestamped bin→worker configuration; records whose time is in
+  advance of the control frontier wait in its input queue. It integrates
+  configuration updates once certain, and initiates migrations: when the
+  S-output probe shows that a bin's state has absorbed all updates before
+  the migration time, the F
   instance co-located with the current owner extracts the bin (state plus
   pending records, via the shared pointer), serialises it and ships it to
   the new owner on the state channel at the migration timestamp. Until then
@@ -23,8 +24,11 @@ operator without bins, control input, or migration support.
 
 F gathers each routed batch once in destination order and sends it once:
 every S instance gets a :class:`repro.timely.engine.Piece`, a view of its
-records. S and the native operator share one receive path,
-:class:`_HostOperator`, which stages its ready instances once per pass: one
+records. Each pass activates only the instances with work: for F, those
+with control to take, records the control frontier has passed, or a bin to
+ship; for S and the native operator, those with queued state or data or a
+ripe pending time. S and the native operator share one receive path,
+:class:`_HostOperator`, which stages its active instances once per pass: one
 gather of all their ripe pieces and, for S, one bin computation that feeds
 both the Property-2 check and L's ``bin`` column. Each instance's
 ``schedule`` then charges, in worker order. A notificator holds pieces only
@@ -145,85 +149,101 @@ class _SharedRouting:
                 self.migrations.append(_Migration(u.time, u.bin, prev, u.worker))
         del pending[:n]
 
-    def held_times(self) -> list[int]:
-        held = [u.time for u in self.pending[:1]]
-        held += [m.time for m in self.migrations]
-        return held
+
+class _FOperator(Operator):
+    """F. Records in advance of the control frontier wait in F's input
+    queue, where they hold the data channel's gate and so F's frontier.
+    Each pass activates only the instances with work: control to take,
+    records to route, or a bin to ship."""
+
+    def __init__(self, sim: Simulation, name: str, owner: "MigratableOperator"):
+        super().__init__(sim, name)
+        self.mo = owner
+
+    def earliest_held(self) -> Optional[int]:
+        """The first pending update and every unshipped migration hold
+        their times."""
+        shared = self.mo.shared
+        held = [m.time for m in shared.migrations]
+        if shared.pending:
+            held.append(shared.pending[0].time)
+        return min(held, default=None)
+
+    def stage(self, t1: float) -> list["_FInstance"]:
+        mo = self.mo
+        shared, control_ch, data_ch = mo.shared, mo.control_ch, mo.data_ch
+        routing = shared.routing
+        if len(routing.times) > 1:
+            # nothing F still holds or may receive is before its frontier
+            routing.compact(self.could_produce)
+        if not (data_ch.queued or control_ch.queued or shared.pending or shared.migrations):
+            return []
+        busy = self.sim.worker_busy
+        free = [inst for inst in self.instances if busy[inst.worker] < t1]
+        if not free:
+            return []  # integrating is F's work too: it waits for a free worker
+        # control gating must use the *full* gate frontier (including
+        # delivered-but-unconsumed control messages): the control stream is
+        # consumed by one instance but consulted by all, so a message queued
+        # at any worker must hold everyone back. Updates taken in this pass
+        # are at or after their queued message's time, so at or after it:
+        # integrating before they are taken changes nothing.
+        cf = control_ch.gate_frontier
+        shared.integrate(cf)  # the shared table, once per pass
+        probe = mo.probe
+        ships = {m.src for m in shared.migrations if probe.reached(m.time)}
+        staged = []
+        for inst in free:
+            w = inst.worker
+            q = data_ch.queues[w]
+            if (
+                control_ch.queues[w]
+                or w in ships
+                or (q and (cf is None or any(b.time < cf for b in q)))
+            ):
+                staged.append(inst)
+        return staged
 
 
 class _FInstance(OperatorInstance):
     def __init__(self, owner: "MigratableOperator", worker: int):
         self.mo = owner
-        self.buffer: list[Batch] = []  # data in advance of the control frontier
-
-    def held_times(self) -> list[int]:
-        # the shared routing's held times are the F operator's own
-        return [min(b.time for b in self.buffer)] if self.buffer else []
 
     def schedule(self, ctx: Ctx) -> bool:
-        mo, sim = self.mo, ctx.sim
-        # fast path: nothing queued, buffered, pending, or migrating
+        mo, sim, w = self.mo, ctx.sim, self.worker
         shared = mo.shared
-        if (
-            not mo.control_ch.queues[self.worker]
-            and not mo.data_ch.queues[self.worker]
-            and not self.buffer
-            and not shared.pending
-            and not shared.migrations
-        ):
-            return False
         did = False
-        # 1. ingest control messages (delivered to worker 0, table is shared)
+        # 1. ingest control messages (delivered to one worker; the table is
+        # shared, and F's stage integrates it)
         pending = shared.pending
-        for cb in mo.control_ch.take(self.worker):
+        for cb in mo.control_ch.take(w):
             for u in cb.data:
+                assert u.time >= cb.time, f"{self.op.name}: update at {u.time} sent at {cb.time}"
                 assert not pending or u.time >= pending[-1].time, (
                     f"{self.op.name}: control update at {u.time} arrived "
                     f"after one at {pending[-1].time} (out of time order)"
                 )
                 pending.append(u)
             did = True
-        # control gating must use the *full* gate frontier (including
-        # delivered-but-unconsumed control messages): the control stream is
-        # consumed by worker 0's instance but consulted by all instances, so
-        # a message queued at worker 0 must hold everyone back
-        control_frontier = mo.control_ch.gate_frontier
-        # 2. integrate certain configuration updates (shared, idempotent)
-        shared.integrate(control_frontier)
-        # 3. ingest + route data
-        self.buffer.extend(mo.data_ch.take(self.worker))
-        if self.buffer:
-            routable, held = [], []
-            for b in self.buffer:
-                if control_frontier is None or b.time < control_frontier:
-                    routable.append(b)
-                else:
-                    held.append(b)
-            if routable:
-                self.buffer = held
-                for b in routable:
-                    self._route(ctx, b)
-                did = True
-        # 4. initiate actionable migrations owned by this worker; shipping a
+        # 2. route the records the control frontier has passed
+        for b in mo.data_ch.take(w, mo.control_ch.gate_frontier):
+            self._route(ctx, b)
+            did = True
+        # 3. initiate actionable migrations owned by this worker; shipping a
         # bin drops its migration, and with it F's capability at its time
-        for m in [m for m in shared.migrations if m.src == self.worker]:
+        for m in [m for m in shared.migrations if m.src == w]:
             if not mo.probe.reached(m.time):
                 continue
             shared.migrations.remove(m)
-            s_inst = mo.s_op.instances[self.worker]
+            s_inst = mo.s_op.instances[w]
             payload, nbytes, pending = s_inst.uninstall_bin(m.bin)
             ctx.charge(nbytes / sim.cost.ser_bw)
             ctx.send(
                 mo.state_ch,
                 m.dst,
-                Batch(
-                    time=m.time,
-                    data=(m.bin, payload, pending, self.worker),
-                    nbytes=nbytes,
-                ),
+                Batch(time=m.time, data=(m.bin, payload, pending, w), nbytes=nbytes),
             )
             did = True
-        shared.routing.compact(mo.data_ch.gate_frontier)
         return did
 
     def _route(self, ctx: Ctx, batch: Batch) -> None:
@@ -248,19 +268,38 @@ class _HostOperator(Operator):
         super().__init__(sim, name)
         self.owner = owner
 
-    def stage(self, t1: float) -> None:
+    def earliest_held(self) -> Optional[int]:
+        held = [t for host in self.instances if (t := host.notif.min_time()) is not None]
+        return min(held, default=None)
+
+    def stage(self, t1: float) -> list["_LogicHost"]:
+        """Activate the hosts with work: queued input (state or data) or a
+        ripe pending time."""
         # a time applies once it is behind every input's frontier
         gate = None
         for ch in self.input_channels:
             gate = frontier_min(gate, ch.arrive_frontier)
         busy = self.sim.worker_busy
+        queues = [ch.queues for ch in self.input_channels]
+        staged = []
         groups = []  # (host, time, pieces), worker-major, then time order
         for host in self.instances:
-            host.staged = busy[host.worker] < t1 and host.take_inputs(gate)
-            if host.staged:
-                groups += [(host, t, ps) for t, ps in host.notif.drain(gate)]
+            w = host.worker
+            if busy[w] >= t1:
+                continue
+            # queued input, or else a ripe pending time
+            for q in queues:
+                if q[w]:
+                    host.take_inputs()
+                    break
+            else:
+                first = host.notif.min_time()
+                if first is None or (gate is not None and first >= gate):
+                    continue
+            staged.append(host)
+            groups += [(host, t, ps) for t, ps in host.notif.drain(gate)]
         if not groups:
-            return
+            return staged
         # one gather over the concatenated distinct batches the pieces view:
         # the index is arange(records) plus, per piece, the shift from its
         # place in the output to its first record (no piece is empty)
@@ -291,55 +330,47 @@ class _HostOperator(Operator):
             host.ripe.append((t, lo, n, arrivals[lo : lo + n]))
             lo += n
         owner = self.owner
-        if owner.bin_fn is None:
-            return
-        cols["bin"] = owner.bin_fn(cols["k"])
-        if owner.authority is not None:
-            owner.authority.check(
-                np.array([t for _, t, _ in groups]).repeat(counts),
-                cols["bin"],
-                np.array([host.worker for host, _, _ in groups]).repeat(counts),
-            )
+        if owner.bin_fn is not None:
+            cols["bin"] = owner.bin_fn(cols["k"])
+            if owner.authority is not None:
+                owner.authority.check(
+                    np.array([t for _, t, _ in groups]).repeat(counts),
+                    cols["bin"],
+                    np.array([host.worker for host, _, _ in groups]).repeat(counts),
+                )
+        return staged
 
 
 class _LogicHost(OperatorInstance):
     """One worker's logic L and its extended Notificator, for S and the
-    native operator: staging runs ``take_inputs``, ``schedule`` applies."""
+    native operator: staging runs ``take_inputs``, ``schedule`` applies.
+    Only staged hosts are scheduled."""
 
     def __init__(self, owner, worker: int, data_ch: Channel):
         self.owner = owner
         self.data_ch = data_ch
         self.logic = owner.logic_factory(worker)
         self.notif = Notificator()
-        self.held_times = self.notif.held_times
         self.applied = -1  # the last time applied
         self.installs: list[float] = []  # nbytes of each state installed
-        self.staged = False
         self.cols: dict = {}  # the last staged pass's gathered ripe records
         self.ripe: list[tuple] = []  # (time, first record, records, arrivals)
 
-    def enqueue(self, t: int, piece: Piece) -> None:
+    def enqueue(self, piece: Piece) -> None:
+        t = piece.time
         assert t > self.applied, (
             f"{self.op.name}[{self.worker}]: batch at {t} arrived after time "
             f"{self.applied} was applied (late arrival)"
         )
         self.notif.notify_at(t, piece)
 
-    def take_inputs(self, gate: Optional[float]) -> bool:
+    def take_inputs(self) -> None:
         """Enqueue arrived data (whole batches from the native operator's
-        input); True if there is work for ``schedule``."""
-        got = self.data_ch.take(self.worker)
-        for b in got:
-            self.enqueue(b.time, whole(b))
-        return bool(got) or self.ripe_before(gate)
-
-    def ripe_before(self, gate: Optional[float]) -> bool:
-        mn = self.notif.min_time()
-        return mn is not None and (gate is None or mn < gate)
+        input)."""
+        for b in self.data_ch.take(self.worker):
+            self.enqueue(whole(b))
 
     def schedule(self, ctx: Ctx) -> bool:
-        if not self.staged:
-            return False
         deser_bw = ctx.sim.cost.deser_bw
         for nbytes in self.installs:
             ctx.charge(nbytes / deser_bw)
@@ -352,7 +383,7 @@ class _LogicHost(OperatorInstance):
             self.applied = t
             for pt, pdata in logic.take_postdated():
                 nan = np.full(len(pdata["k"]), np.nan)
-                self.enqueue(pt, whole(Batch(time=pt, data={**pdata, ARRIVAL: nan})))
+                self.enqueue(whole(Batch(time=pt, data={**pdata, ARRIVAL: nan})))
         self.ripe = []
         return True
 
@@ -379,36 +410,32 @@ class _SInstance(_LogicHost):
         moved = []
         for (t, piece), end, hit in zip(pending, ends, hits):
             if not hit:
-                self.enqueue(t, piece)
+                self.enqueue(piece)
                 continue
             _, bt, lo, hi = piece
             mask = in_bin[end - (hi - lo) : end]
             moved.append((t, take_batch(bt, lo + np.flatnonzero(mask))))
             rest = lo + np.flatnonzero(~mask)
             if len(rest):
-                self.enqueue(t, whole(take_batch(bt, rest)))
+                self.enqueue(whole(take_batch(bt, rest)))
         return payload, nbytes, moved
 
-    def take_inputs(self, gate: Optional[float]) -> bool:
+    def take_inputs(self) -> None:
         """Install migrated state immediately (paper §3.4), then enqueue
         F's pieces."""
         sim = self.op.sim
         for sb in self.owner.state_ch.take(self.worker):
             b, payload, pending, src_worker = sb.data
             self.logic.install_bin(b, payload, sb.nbytes)
-            for t, pb in pending:
-                self.enqueue(t, whole(pb))
+            for _, pb in pending:
+                self.enqueue(whole(pb))
             sim.state_bytes[sim.process_of[src_worker]] -= sb.nbytes
             sim.state_bytes[sim.process_of[self.worker]] += sb.nbytes
             self.installs.append(sb.nbytes)
-        got = self.data_ch.take(self.worker)  # F's pieces
-        for piece in got:
-            self.enqueue(piece.time, piece)
-        return bool(got) or bool(self.installs) or self.ripe_before(gate)
+        for piece in self.data_ch.take(self.worker):  # F's pieces
+            self.enqueue(piece)
 
     def schedule(self, ctx: Ctx) -> bool:
-        if not self.staged:
-            return False
         super().schedule(ctx)
         # per-iteration maintenance: scan of local bins / routing state
         sim = ctx.sim
@@ -442,8 +469,7 @@ class MigratableOperator:
         self.authority = authority
         self.shared = _SharedRouting(RoutingTable(n_bins, initial_assignment))
 
-        self.f_op = Operator(sim, f"{name}.F")
-        self.f_op.held_times = self.shared.held_times
+        self.f_op = _FOperator(sim, f"{name}.F", self)
         self.s_op = _HostOperator(sim, f"{name}.S", self)
         self.data_ch = Channel(f"{name}.data_in", data_input, self.f_op)
         self.control_ch = Channel(f"{name}.control", control_input, self.f_op)

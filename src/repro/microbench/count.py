@@ -210,8 +210,10 @@ def run_count(
 
     final = None
     if logics:
-        final = logics[0].counts.copy()
-        for lg in logics[1:]:
+        # a mapping of its own, as the counts: from the C heap, whether
+        # 8 MB more of it becomes resident depends on earlier runs
+        final = untouched_zeros(len(logics[0].counts))
+        for lg in logics:
             final += lg.counts
     return CountRun(
         nominal_keys=nominal_keys,

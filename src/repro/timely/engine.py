@@ -22,7 +22,13 @@ concepts Megaphone relies on:
   after its ``could_produce`` from the last frontier pass.
 
 Simulated time is float seconds. Each worker has a clock (``busy_until``);
-scheduling runs in ticks of ``cost.tick`` seconds. Cross-process messages
+scheduling runs in ticks of ``cost.tick`` seconds, each of ``PASSES``
+passes. A pass delivers the messages due, recomputes the frontiers and then,
+per operator in graph order, runs only the instances that the operator's
+``stage`` activates, as timely runs an operator only when activated: those
+with work (queued input, a ripe time, a bin to ship) whose worker is free
+before the tick ends. A saturated worker's input stays queued and holds its
+channel's frontier. Cross-process messages
 queue on the sending process's NIC (bandwidth ``cost.nic_bw``), which is what
 produces both the all-at-once latency spike and its memory spike (paper §5.3.5).
 ``Ctx.record_latency`` keeps ``(now, arrivals)``, from the records' column
@@ -33,9 +39,10 @@ and records them, but for NaN ones (post-dated records), in
 Bookkeeping is per pass and per logical time, not per message: a channel
 counts its undelivered and queued messages per time (a frontier is a
 ``min`` over a few distinct times) and moves the messages due with one sort
-on ``(deliver_time, seq)``; an operator may ``stage`` work for all its
-instances before they run in a pass. ``recompute_frontiers`` checks that no
-frontier goes back and that a closed one stays closed.
+on ``(deliver_time, seq)``; an operator's ``stage`` may do work for all
+its instances before they run in a pass, and its ``earliest_held`` gives the
+frontier pass its capabilities in one call. ``recompute_frontiers`` checks
+that no frontier goes back and that a closed one stays closed.
 
 This is a simulation substrate: numbers it produces are governed by the
 calibrated :class:`repro.timely.cost.CostModel`, but the *data* flowing
@@ -189,17 +196,24 @@ class Channel:
             q[t] = q.get(t, 0) + 1
             queues[w].append(batch)
 
-    def take(self, worker: int) -> list[Batch | Piece]:
+    def take(self, worker: int, frontier: Optional[float] = None) -> list[Batch | Piece]:
+        """Take the worker's queued messages at times before ``frontier``
+        (all of them if None), in order; the others stay queued in order."""
         got = self.queues[worker]
-        if got:
+        if not got:
+            return got
+        if frontier is not None and any(b.time >= frontier for b in got):
+            self.queues[worker] = [b for b in got if b.time >= frontier]
+            got = [b for b in got if b.time < frontier]
+        else:
             self.queues[worker] = []
-            q = self.queued
-            for b in got:
-                c = q[b.time] - 1
-                if c:
-                    q[b.time] = c
-                else:
-                    del q[b.time]
+        q = self.queued
+        for b in got:
+            c = q[b.time] - 1
+            if c:
+                q[b.time] = c
+            else:
+                del q[b.time]
         return got
 
     def set_frontiers(self, src_f: Optional[float]) -> None:
@@ -219,12 +233,18 @@ class Operator:
         self.could_produce: Optional[float] = 0.0
         sim.operators.append(self)
 
-    def held_times(self) -> list[int]:
-        """Capabilities of state shared by all instances, asked once."""
-        return []
+    def earliest_held(self) -> Optional[int]:
+        """The earliest time the operator holds a capability at (buffered or
+        pending work, or shared state), or None; asked once per frontier
+        pass. By default, the earliest of the instances' ``held_times``."""
+        return min((t for inst in self.instances for t in inst.held_times()), default=None)
 
-    def stage(self, t1: float) -> None:
-        """Per-pass work before the instances whose worker is free by ``t1`` run."""
+    def stage(self, t1: float) -> list["OperatorInstance"]:
+        """Per-pass work before the instances run; returns the instances to
+        schedule in this pass, in worker order. An instance is activated
+        only if its worker is free by ``t1``; by default every such one."""
+        busy = self.sim.worker_busy
+        return [inst for inst in self.instances if busy[inst.worker] < t1]
 
     def add_instances(self, factory: Callable[[int], "OperatorInstance"]) -> None:
         for w in range(self.sim.workers):
@@ -238,7 +258,8 @@ class OperatorInstance:
     """Per-worker operator instance. Subclasses implement ``schedule``.
 
     ``held_times()`` reports capabilities (including buffered/pending work)
-    that hold the operator's output frontier back.
+    that hold the operator's output frontier back; an operator that
+    overrides ``earliest_held`` may track them itself.
     """
 
     op: Operator
@@ -417,9 +438,9 @@ class Ctx:
 class Simulation:
     """The simulated cluster and dataflow graph. Operators are added in
     topological order (``Channel`` checks it); the per-tick loop delivers
-    messages, recomputes frontiers, and schedules instances in graph order
-    for ``PASSES`` passes (two passes let a record traverse F then S within
-    one tick)."""
+    messages, recomputes frontiers, and schedules the instances each
+    operator's ``stage`` activates, in graph order, for ``PASSES`` passes
+    (two passes let a record traverse F then S within one tick)."""
 
     PASSES = 2
 
@@ -465,11 +486,7 @@ class Simulation:
             for ch in op.input_channels:
                 ch.set_frontiers(ch.src.could_produce)
                 f = frontier_min(f, ch.gate_frontier)
-            held = list(op.held_times())
-            for inst in op.instances:
-                held += inst.held_times()
-            if held:
-                f = frontier_min(f, min(held))
+            f = frontier_min(f, op.earliest_held())
             old = op.could_produce
             assert f is None or (old is not None and f >= old), (
                 f"{op.name}: frontier went back from {old} to {f}"
@@ -489,12 +506,11 @@ class Simulation:
                 ch.deliver_due(t1)
             self.recompute_frontiers()
             for op in self.operators:
-                op.stage(t1)
-                for inst in op.instances:
+                # only activated instances run; a saturated worker's work
+                # waits (and holds its frontiers), so latency grows
+                for inst in op.stage(t1):
                     w = inst.worker
                     busy = worker_busy[w]
-                    if busy >= t1:
-                        continue  # worker saturated: work waits, latency grows
                     ctx = ctxs[w]
                     ctx.now = busy if busy > t0 else t0
                     if inst.schedule(ctx):

@@ -8,9 +8,9 @@ is a :class:`repro.timely.engine.Piece`, a view of the records of one batch.
 Pending work is keyed by time: a heap of the distinct times, and each
 time's payloads in arrival order.
 
-The notificator doubles as the operator's capability set: its pending times
-are reported through ``held_times`` and hold the output frontier back until
-the work is done.
+The notificator doubles as the operator's capability set: its earliest
+pending time (``min_time``) holds the output frontier back until the work
+is done.
 """
 from __future__ import annotations
 
@@ -35,9 +35,6 @@ class Notificator:
 
     def min_time(self) -> Optional[int]:
         return self._times[0] if self._times else None
-
-    def held_times(self) -> list[int]:
-        return self._times[:1]
 
     def drain(self, frontier: Optional[float]) -> list[tuple[int, list]]:
         """Remove and return the times *not in advance of* ``frontier`` as

@@ -133,9 +133,10 @@ class TestChannelCounts:
         assert ch.gate_frontier is None
 
     def test_frontiers_match_sorted_multiset(self):
-        """Random sends (some due later), deliveries and takes against a
-        model: sorted undelivered and queued times, and each worker's queue
-        in (deliver_time, seq) order."""
+        """Random sends (some due later), deliveries and takes (all, or
+        those before a frontier) against a model: sorted undelivered and
+        queued times, and each worker's queue in (deliver_time, seq)
+        order."""
         rng = np.random.default_rng(0)
         sim, inp, op, ch, insts = build_sim()
         undelivered, queued = [], []  # sorted times
@@ -163,11 +164,13 @@ class TestChannelCounts:
                     queues[w].append((t, sq))
             else:
                 w = int(rng.integers(sim.workers))
-                got = ch.take(w)
-                assert [(b.time, b.data) for b in got] == queues[w]
-                for t, _ in queues[w]:
+                frontier = None if rng.random() < 0.5 else int(rng.integers(0, 20))
+                got = ch.take(w, frontier)
+                taken = [m for m in queues[w] if frontier is None or m[0] < frontier]
+                assert [(b.time, b.data) for b in got] == taken
+                for t, _ in taken:
                     queued.remove(t)
-                queues[w] = []
+                queues[w] = [m for m in queues[w] if m not in taken]
             src_f = None if rng.random() < 0.2 else int(rng.integers(0, 20))
             ch.set_frontiers(src_f)
             arrive = min([t for t in (src_f,) if t is not None] + undelivered[:1], default=None)

@@ -18,11 +18,14 @@ from repro.core.operators import (
     MigratableOperator,
     NativeOperator,
     StateLogic,
+    _FInstance,
+    _SInstance,
     take_batch,
     whole,
 )
 from repro.core.strategies import MigrationDriver, initial_assignment
-from repro.microbench.count import CountLogic
+from repro.microbench.count import CountLogic, run_count
+from repro.nexmark.stream import run_nexmark
 from repro.timely.cost import CostModel
 from repro.timely.engine import ARRIVAL, Batch, Ctx, InputHandle, Piece, Simulation
 from repro.timely.notificator import Notificator
@@ -142,8 +145,8 @@ class TestBuffering:
         r.data.advance_to(r.now_ns() + MS)
         r.tick()
         assert r.total_counts() == 0
-        f0 = r.mo.f_op.instances[0]
-        assert len(f0.buffer) == 1
+        # the batch waits in F0's input queue
+        assert len(r.mo.data_ch.queues[0]) == 1
 
     def test_buffered_records_flow_once_control_advances(self):
         r = Rig()
@@ -215,6 +218,12 @@ class TestMigrationInitiation:
         # earlier in time than the pending update: F must not reorder it
         r.control.send(0, Batch(time=t, data=[ControlUpdate(t, 1, 2)]))
         with pytest.raises(AssertionError, match=r"c.F: control update at .*out of time order"):
+            r.tick()
+
+    def test_update_before_its_message_time_rejected(self):
+        r = Rig()
+        r.control.send(0, Batch(time=2 * MS, data=[ControlUpdate(MS, 0, 2)]))
+        with pytest.raises(AssertionError, match=r"c.F: update at 1000000 sent at 2000000"):
             r.tick()
 
     def test_noop_update_to_same_worker_is_not_a_migration(self):
@@ -445,7 +454,7 @@ class TestProgressChecks:
         s_inst = r.mo.s_op.instances[0]
         assert s_inst.applied == 0
         with pytest.raises(AssertionError, match=r"c.S\[0\]: batch at 0 arrived after time 0 was applied \(late"):
-            s_inst.enqueue(0, Batch(time=0, data={"k": np.array([1])}))
+            s_inst.enqueue(whole(Batch(time=0, data={"k": np.array([1])})))
 
     def test_frontier_going_back_rejected(self):
         r = Rig()
@@ -522,12 +531,131 @@ class TestProgressChecks:
         the bin sends the state behind its own frontier."""
         r = Rig()
         shared = r.mo.shared
-        r.mo.f_op.held_times = lambda: [u.time for u in shared.pending[:1]]
+        r.mo.f_op.earliest_held = lambda: shared.pending[0].time if shared.pending else None
         with pytest.raises(
             AssertionError,
             match=r"c.F: send at 3000000 on c.state behind its capability 4000000",
         ):
             self._migrate_late(r)
+
+
+class TestRoutingCompaction:
+    def test_epoch_kept_while_a_saturated_f_holds_a_record(self):
+        """F1 holds a record at time 0 while the control frontier lags, then
+        its worker saturates. An update at 2 ms is integrated meanwhile; F
+        keeps the epoch the record routes by until F1 is free to route it."""
+        r = Rig()
+        r.send_keys([0], worker=1)  # bin 0, at time 0
+        r.data.advance_to(MS)
+        r.tick()  # the control frontier is at 0: F1 cannot route yet
+        assert r.total_counts() == 0
+        r.sim.worker_busy[1] = 5e-3  # worker 1 saturated until 5 ms
+        t_up = 2 * MS
+        r.authority.register([ControlUpdate(t_up, 1, 2)])
+        r.control.send(0, Batch(time=t_up, data=[ControlUpdate(t_up, 1, 2)]))
+        epochs = []
+        for _ in range(8):
+            r.advance_both()
+            r.tick()
+            epochs.append(list(r.mo.shared.routing.times))
+        assert [0, t_up] in epochs  # kept while F1 held the record
+        assert epochs[-1] == [t_up]  # compacted once it was routed
+        assert r.logics[0].counts[0] == 1
+        assert r.owner_of_bin(1) == [2]
+
+
+def spy_passes(r):
+    """Record the instances each pass of ``r`` stages and schedules."""
+    staged, scheduled = [], []
+    for op in (r.mo.f_op, r.mo.s_op):
+
+        def stage(t1, stage=op.stage):
+            out = stage(t1)
+            staged.extend(out)
+            return out
+
+        op.stage = stage
+        for inst in op.instances:
+
+            def schedule(ctx, schedule=inst.schedule, inst=inst):
+                scheduled.append(inst)
+                return schedule(ctx)
+
+            inst.schedule = schedule
+    return staged, scheduled
+
+
+class TestActivation:
+    def test_saturated_worker_neither_staged_nor_scheduled(self):
+        """Workers 1 and 2 are saturated until 5 ms, F1 with a record queued
+        and S2 with the piece F0 routes to it. Neither is staged or
+        scheduled, and each queued input holds its channel's gate (and the
+        probe) at its time; once free, both run."""
+        r = Rig()
+        staged, scheduled = spy_passes(r)
+        r.sim.worker_busy[1] = r.sim.worker_busy[2] = 5e-3
+        width = DOMAIN // BINS
+        r.send_keys([0], worker=1)
+        r.send_keys([2 * width], worker=0)  # bin 2, at worker 2
+        r.advance_both()
+        r.tick(3)
+        f0, f1 = r.mo.f_op.instances[:2]
+        s2 = r.mo.s_op.instances[2]
+        assert f0 in staged and f0 in scheduled  # it routed
+        for inst in (f1, s2):
+            assert inst not in staged and inst not in scheduled
+        assert r.mo.data_ch.queues[1] and r.mo.data_out_ch.queues[2]
+        assert r.mo.data_ch.gate_frontier == 0
+        assert r.mo.data_out_ch.gate_frontier == 0
+        assert not r.mo.probe.passed(0)
+        for _ in range(6):
+            r.advance_both()
+            r.tick()
+        assert f1 in scheduled and s2 in scheduled
+        assert r.total_counts() == 2
+
+    @pytest.mark.parametrize("workload", ["count-fluid", "nexmark-q4"])
+    def test_every_scheduled_instance_does_work(self, monkeypatch, workload):
+        """Each pass schedules only the F and S instances that have work:
+        every ``schedule`` call that ``step_tick`` makes returns True."""
+        calls = []
+        for cls in (_FInstance, _SInstance):
+
+            def spied(self, ctx, schedule=cls.schedule):
+                did = schedule(self, ctx)
+                calls.append((type(self).__name__, did))
+                return did
+
+            monkeypatch.setattr(cls, "schedule", spied)
+        cost = CostModel(workers=W, workers_per_process=2)
+        if workload == "count-fluid":
+            run_count(
+                cost=cost,
+                nominal_keys=1e6,
+                scaled_keys=1 << 10,
+                rate=20_000,
+                n_bins=32,
+                duration_s=1.0,
+                warmup_s=0.2,
+                migrations=[{"at_s": 0.3, "moves": "imbalance", "strategy": "fluid"}],
+            )
+        else:
+            run_nexmark(
+                query="q4",
+                impl="megaphone",
+                cost=cost,
+                n_events=6_000,
+                rate_per_s=8_000.0,
+                n_bins=64,
+                window_ms=400,
+                slide_ms=100,
+                state_scale=100.0,
+                migrations=[
+                    {"at_s": 0.4, "moves": "imbalance", "strategy": "batched", "batch_size": 4}
+                ],
+            )
+        assert {name for name, _ in calls} == {"_FInstance", "_SInstance"}
+        assert all(did for _, did in calls)
 
 
 class TestAuthorityCompaction:
@@ -683,7 +811,7 @@ class TestPendingRecordsMigrate:
         )
         pieces = data.draw(st.lists(st.one_of(view(), timer), max_size=10))
         for piece in pieces:
-            s_inst.enqueue(piece.time, piece)
+            s_inst.enqueue(piece)
 
         def records(entries):
             """(time, key, arrival or None) of each record, in order."""
@@ -699,9 +827,9 @@ class TestPendingRecordsMigrate:
         assert all(bt.time == t for t, bt in moved)
         assert records(moved) == [rec for rec in expected if rec[1] // width == b]
         kept = [rec for rec in expected if rec[1] // width != b]
-        assert s_inst.held_times() == sorted({t for t, _, _ in kept})[:1]
+        assert s_inst.notif.min_time() == min((t for t, _, _ in kept), default=None)
         after = (6 * MS, width, 99.0)
-        s_inst.enqueue(6 * MS, whole(batch(6 * MS, [width], [99.0])))
+        s_inst.enqueue(whole(batch(6 * MS, [width], [99.0])))
         pending = records((t, rows(p)) for t, p in drain_all(s_inst.notif))
         assert pending == sorted(kept + [after], key=lambda rec: rec[0])
 
