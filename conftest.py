@@ -1,6 +1,12 @@
 import os
 import sys
 
+# Tier-1 writes no bytecode caches into src/, in this process or in the
+# subprocesses it starts: an earlier test run's caches would otherwise make
+# a later benchmark of the same checkout import faster than a fresh one
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 
 def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.

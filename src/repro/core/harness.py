@@ -16,12 +16,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.core.control import ConfigAuthority
-from repro.core.operators import (
-    MigratableOperator,
-    NativeOperator,
-    StateLogic,
-    take_batch,
-)
+from repro.core.operators import MigratableOperator, NativeOperator, StateLogic, take
 from repro.core.strategies import (
     MigrationDriver,
     MigrationRecord,
@@ -29,7 +24,7 @@ from repro.core.strategies import (
     rebalance_moves,
 )
 from repro.latency.histogram import LatencyHistogram
-from repro.timely.engine import ARRIVAL, Batch, InputHandle, Simulation
+from repro.timely.engine import ARRIVAL, InputHandle, Piece, Simulation
 
 
 def run_open_loop(
@@ -85,6 +80,7 @@ def run_open_loop(
             initial_assignment=assignment,
             logic_factory=logic_factory,
             c_record=c_record,
+            record_nbytes=record_nbytes,
             data_input=data_in,
             control_input=control_in,
             bin_fn=bin_fn,
@@ -122,25 +118,25 @@ def run_open_loop(
         got = source(t0)
         if got is not None:
             data, arrivals = got
-            tick = Batch(time=t_ns, data={**data, ARRIVAL: arrivals})
+            cols = {**data, ARRIVAL: arrivals}
             if key_dest is None:
                 # the paper's harness feeds at every process; rotation keeps
                 # the ingest-side routing cost balanced across workers. Each
-                # gets a contiguous part (views), sized as np.array_split does
+                # gets a contiguous piece, sized as np.array_split does
                 wpp = cost.workers_per_process
                 targets = range(sim_.tick_index % wpp, W, wpp)
                 size, extra = divmod(len(arrivals), len(targets))
-                parts, hi = [], 0
+                hi = 0
                 for i, w in enumerate(targets):
                     lo, hi = hi, hi + size + (i < extra)
-                    parts.append((w, slice(lo, hi), hi - lo))
+                    if hi > lo:
+                        data_in.send(w, Piece(t_ns, cols, lo, hi))
             else:
                 dest = key_dest(data)
-                idxs = [np.flatnonzero(dest == w) for w in range(W)]
-                parts = [(w, idx, len(idx)) for w, idx in enumerate(idxs)]
-            for w, part, n in parts:
-                if n:
-                    data_in.send(w, take_batch(tick, part, record_nbytes * n))
+                for w in range(W):
+                    idx = np.flatnonzero(dest == w)
+                    if len(idx):
+                        data_in.send(w, Piece(t_ns, take(cols, idx), 0, len(idx)))
         data_in.advance_to(t_ns + tick_ns)
 
     sim.on_tick.insert(0, feed)

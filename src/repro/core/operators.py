@@ -22,23 +22,24 @@ two-operator construction of Figure 3b:
 ``NativeOperator`` is the baseline: a single hand-partitioned stateful
 operator without bins, control input, or migration support.
 
-F gathers each routed batch once in destination order and sends it once:
-every S instance gets a :class:`repro.timely.engine.Piece`, a view of its
-records. Each pass activates only the instances with work: for F, those
+Records take one shape from the input feed to L's ``apply``: a
+:class:`repro.timely.engine.Piece`, records ``lo:hi`` of a dict of columns.
+F gathers each routed piece's records once in destination order and sends
+them once: every S instance gets a piece of the gathered columns. Each pass activates only the instances with work: for F, those
 with control to take, records the control frontier has passed, or a bin to
 ship; for S and the native operator, those with queued state or data or a
 ripe pending time. S and the native operator share one receive path,
 :class:`_HostOperator`, which stages its active instances once per pass: one
 gather of all their ripe pieces and, for S, one bin computation that feeds
 both the Property-2 check and L's ``bin`` column. Each instance's
-``schedule`` then charges, in worker order. A notificator holds pieces only
-(post-dated and installed records are whole batches); a piece entering it
-must be later than every time that host applied. S takes the records'
-``ARRIVAL`` column out before L applies them.
+``schedule`` then charges, in worker order. A notificator holds pieces: of
+the input, of post-dated records and of the records that move with a bin;
+a piece entering it must be later than every time that host applied. S
+takes the records' ``ARRIVAL`` column out before L applies them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -95,20 +96,9 @@ class StateLogic:
         raise NotImplementedError
 
 
-def take_batch(batch: Batch, idx: np.ndarray | slice, nbytes: float = 0.0) -> Batch:
-    """The records ``idx`` of ``batch``, at the same time (a slice gives
-    views). Record batches are dicts of equal-length columns; the key
-    column is ``k``."""
-    return Batch(
-        time=batch.time,
-        data={name: col[idx] for name, col in batch.data.items()},
-        nbytes=nbytes,
-    )
-
-
-def whole(batch: Batch) -> Piece:
-    """All records of ``batch`` as one piece."""
-    return Piece(batch.time, batch, 0, len(batch.data["k"]))
+def take(data: dict, idx: np.ndarray | slice) -> dict:
+    """The records ``idx`` of the columns ``data`` (a slice gives views)."""
+    return {name: col[idx] for name, col in data.items()}
 
 
 @dataclass
@@ -119,19 +109,28 @@ class _Migration:
     dst: int
 
 
-@dataclass
-class _SharedRouting:
-    """Routing state shared by the F instances of one process (the paper
-    shares bins via pointers between same-process operators; our simulation
-    runs one process, so one copy integrated in lockstep).
+class _FOperator(Operator):
+    """F. Its routing state belongs to the operator and is shared by its
+    instances: the paper shares it by pointer between the F instances of
+    one process, and the simulation runs one process, so one copy is
+    integrated in lockstep. ``pending`` holds the control updates not yet
+    integrated in arrival order, which is time order: one controller feeds
+    the control stream. ``migrations`` holds the migrations whose bin is
+    not yet shipped.
 
-    ``pending`` holds the control updates not yet integrated in arrival
-    order, which is time order: one controller feeds the control stream.
-    ``migrations`` holds the migrations whose bin is not yet shipped."""
+    Records in advance of the control frontier wait in F's input queue,
+    where they hold the data channel's gate and so F's frontier. Each pass
+    activates only the instances with work: control to take, records to
+    route, or a bin to ship."""
 
-    routing: RoutingTable
-    pending: list[ControlUpdate] = field(default_factory=list)
-    migrations: list[_Migration] = field(default_factory=list)
+    def __init__(
+        self, sim: Simulation, name: str, owner: "MigratableOperator", routing: RoutingTable
+    ):
+        super().__init__(sim, name)
+        self.mo = owner
+        self.routing = routing
+        self.pending: list[ControlUpdate] = []
+        self.migrations: list[_Migration] = []
 
     def integrate(self, control_frontier: Optional[float]) -> None:
         """Apply updates whose time is no longer in advance of the control
@@ -149,34 +148,21 @@ class _SharedRouting:
                 self.migrations.append(_Migration(u.time, u.bin, prev, u.worker))
         del pending[:n]
 
-
-class _FOperator(Operator):
-    """F. Records in advance of the control frontier wait in F's input
-    queue, where they hold the data channel's gate and so F's frontier.
-    Each pass activates only the instances with work: control to take,
-    records to route, or a bin to ship."""
-
-    def __init__(self, sim: Simulation, name: str, owner: "MigratableOperator"):
-        super().__init__(sim, name)
-        self.mo = owner
-
     def earliest_held(self) -> Optional[int]:
         """The first pending update and every unshipped migration hold
         their times."""
-        shared = self.mo.shared
-        held = [m.time for m in shared.migrations]
-        if shared.pending:
-            held.append(shared.pending[0].time)
+        held = [m.time for m in self.migrations]
+        if self.pending:
+            held.append(self.pending[0].time)
         return min(held, default=None)
 
     def stage(self, t1: float) -> list["_FInstance"]:
         mo = self.mo
-        shared, control_ch, data_ch = mo.shared, mo.control_ch, mo.data_ch
-        routing = shared.routing
+        control_ch, data_ch, routing = mo.control_ch, mo.data_ch, self.routing
         if len(routing.times) > 1:
             # nothing F still holds or may receive is before its frontier
             routing.compact(self.could_produce)
-        if not (data_ch.queued or control_ch.queued or shared.pending or shared.migrations):
+        if not (data_ch.queued or control_ch.queued or self.pending or self.migrations):
             return []
         busy = self.sim.worker_busy
         free = [inst for inst in self.instances if busy[inst.worker] < t1]
@@ -189,9 +175,9 @@ class _FOperator(Operator):
         # are at or after their queued message's time, so at or after it:
         # integrating before they are taken changes nothing.
         cf = control_ch.gate_frontier
-        shared.integrate(cf)  # the shared table, once per pass
+        self.integrate(cf)  # the shared table, once per pass
         probe = mo.probe
-        ships = {m.src for m in shared.migrations if probe.reached(m.time)}
+        ships = {m.src for m in self.migrations if probe.reached(m.time)}
         staged = []
         for inst in free:
             w = inst.worker
@@ -210,12 +196,11 @@ class _FInstance(OperatorInstance):
         self.mo = owner
 
     def schedule(self, ctx: Ctx) -> bool:
-        mo, sim, w = self.mo, ctx.sim, self.worker
-        shared = mo.shared
+        mo, f, w = self.mo, self.op, self.worker
         did = False
         # 1. ingest control messages (delivered to one worker; the table is
         # shared, and F's stage integrates it)
-        pending = shared.pending
+        pending = f.pending
         for cb in mo.control_ch.take(w):
             for u in cb.data:
                 assert u.time >= cb.time, f"{self.op.name}: update at {u.time} sent at {cb.time}"
@@ -226,18 +211,17 @@ class _FInstance(OperatorInstance):
                 pending.append(u)
             did = True
         # 2. route the records the control frontier has passed
-        for b in mo.data_ch.take(w, mo.control_ch.gate_frontier):
-            self._route(ctx, b)
+        for piece in mo.data_ch.take(w, mo.control_ch.gate_frontier):
+            self._route(ctx, piece)
             did = True
         # 3. initiate actionable migrations owned by this worker; shipping a
         # bin drops its migration, and with it F's capability at its time
-        for m in [m for m in shared.migrations if m.src == w]:
+        for m in [m for m in f.migrations if m.src == w]:
             if not mo.probe.reached(m.time):
                 continue
-            shared.migrations.remove(m)
-            s_inst = mo.s_op.instances[w]
-            payload, nbytes, pending = s_inst.uninstall_bin(m.bin)
-            ctx.charge(nbytes / sim.cost.ser_bw)
+            f.migrations.remove(m)
+            payload, nbytes, pending = mo.s_op.instances[w].uninstall_bin(m.bin)
+            ctx.charge(nbytes / ctx.sim.cost.ser_bw)
             ctx.send(
                 mo.state_ch,
                 m.dst,
@@ -246,23 +230,25 @@ class _FInstance(OperatorInstance):
             did = True
         return did
 
-    def _route(self, ctx: Ctx, batch: Batch) -> None:
+    def _route(self, ctx: Ctx, piece: Piece) -> None:
         mo = self.mo
-        keys = batch.data["k"]
-        workers = mo.shared.routing.lookup(batch.time, mo.bin_fn(keys))
+        time, data, lo, hi = piece
+        keys = data["k"][lo:hi]
+        workers = self.op.routing.lookup(time, mo.bin_fn(keys))
         ctx.charge(len(keys) * ctx.sim.cost.c_exchange)
         # gather the records once in destination order and send them once:
-        # each destination gets a piece of the gathered batch
+        # each destination gets a piece of the gathered columns
         order = np.argsort(workers, kind="stable")
-        gathered = take_batch(batch, order, batch.nbytes)
-        ctx.scatter(mo.data_out_ch, gathered, np.bincount(workers).tolist())
+        order += lo
+        counts = np.bincount(workers).tolist()
+        ctx.scatter(mo.data_out_ch, time, take(data, order), counts, mo.record_nbytes)
 
 
 class _HostOperator(Operator):
     """S or the native operator. ``owner`` supplies ``c_record``, ``bin_fn``
     and ``authority``. With a ``bin_fn`` (S), each staged pass bins its
-    records once, for L's ``bin`` column and, with an authority, for the
-    check of every applied record."""
+    records once, for L's ``bin`` column and for the authority's check of
+    every applied record."""
 
     def __init__(self, sim: Simulation, name: str, owner):
         super().__init__(sim, name)
@@ -300,29 +286,26 @@ class _HostOperator(Operator):
             groups += [(host, t, ps) for t, ps in host.notif.drain(gate)]
         if not groups:
             return staged
-        # one gather over the concatenated distinct batches the pieces view:
+        # one gather over the concatenated distinct columns the pieces view:
         # the index is arange(records) plus, per piece, the shift from its
         # place in the output to its first record (no piece is empty)
-        first = {}  # id(batch) -> its first record in the concatenation
-        batches, shifts, lens, counts = [], [], [], []
+        first = {}  # id(columns) -> their first record in the concatenation
+        datas, shifts, lens, counts = [], [], [], []
         rows = pos = 0  # records in the concatenation; in the output
         for _, _, ps in groups:
             pos0 = pos
-            for _, b, lo, hi in ps:
-                at = first.get(id(b))
+            for _, d, lo, hi in ps:
+                at = first.get(id(d))
                 if at is None:
-                    at = first[id(b)] = rows
-                    batches.append(b)
-                    rows += len(b.data["k"])
+                    at = first[id(d)] = rows
+                    datas.append(d)
+                    rows += len(d["k"])
                 shifts.append(at + lo - pos)
                 lens.append(hi - lo)
                 pos += hi - lo
             counts.append(pos - pos0)
         idx = np.arange(pos) + np.repeat(shifts, lens)
-        cols = {
-            name: np.concatenate([b.data[name] for b in batches])[idx]
-            for name in batches[0].data
-        }
+        cols = {name: np.concatenate([d[name] for d in datas])[idx] for name in datas[0]}
         arrivals = cols.pop(ARRIVAL)
         lo = 0
         for (host, t, _), n in zip(groups, counts):
@@ -332,12 +315,11 @@ class _HostOperator(Operator):
         owner = self.owner
         if owner.bin_fn is not None:
             cols["bin"] = owner.bin_fn(cols["k"])
-            if owner.authority is not None:
-                owner.authority.check(
-                    np.array([t for _, t, _ in groups]).repeat(counts),
-                    cols["bin"],
-                    np.array([host.worker for host, _, _ in groups]).repeat(counts),
-                )
+            owner.authority.check(
+                np.array([t for _, t, _ in groups]).repeat(counts),
+                cols["bin"],
+                np.array([host.worker for host, _, _ in groups]).repeat(counts),
+            )
         return staged
 
 
@@ -365,10 +347,9 @@ class _LogicHost(OperatorInstance):
         self.notif.notify_at(t, piece)
 
     def take_inputs(self) -> None:
-        """Enqueue arrived data (whole batches from the native operator's
-        input)."""
-        for b in self.data_ch.take(self.worker):
-            self.enqueue(whole(b))
+        """Enqueue the arrived pieces."""
+        for piece in self.data_ch.take(self.worker):
+            self.enqueue(piece)
 
     def schedule(self, ctx: Ctx) -> bool:
         deser_bw = ctx.sim.cost.deser_bw
@@ -383,7 +364,7 @@ class _LogicHost(OperatorInstance):
             self.applied = t
             for pt, pdata in logic.take_postdated():
                 nan = np.full(len(pdata["k"]), np.nan)
-                self.enqueue(whole(Batch(time=pt, data={**pdata, ARRIVAL: nan})))
+                self.enqueue(Piece(pt, {**pdata, ARRIVAL: nan}, 0, len(nan)))
         self.ripe = []
         return True
 
@@ -391,33 +372,34 @@ class _LogicHost(OperatorInstance):
 class _SInstance(_LogicHost):
     _last_maintained_tick = -1
 
-    def uninstall_bin(self, b: int) -> tuple[Any, float, list]:
+    def uninstall_bin(self, b: int) -> tuple[Any, float, list[Piece]]:
         """Shared-pointer extraction used by the co-located F instance:
         removes the bin's state *and* its pending records, which leave as
-        ``(time, batch)`` in (time, arrival) order; the rest stay pending in
-        order, a piece's kept records as one whole batch."""
+        pieces in (time, arrival) order; the rest stay pending in order, a
+        piece's kept records as a piece of their own."""
         payload, nbytes = self.logic.extract_bin(b)
         # NOTE: sender-side state bytes are released at install, not here:
         # the original allocation lives until the serialised copy has left
         # the NIC (the paper's Fig 20 all-at-once memory spike)
-        pending = [(t, p) for t, ps in self.notif.drain(None) for p in ps]
+        pending = [p for _, ps in self.notif.drain(None) for p in ps]
         if not pending:
             return payload, nbytes, []
-        keys = [bt.data["k"][lo:hi] for _, (_, bt, lo, hi) in pending]
+        keys = [d["k"][lo:hi] for _, d, lo, hi in pending]
         in_bin = self.owner.bin_fn(np.concatenate(keys)) == b
         ends = np.cumsum([len(k) for k in keys]).tolist()
         hits = np.logical_or.reduceat(in_bin, [0] + ends[:-1]).tolist()
         moved = []
-        for (t, piece), end, hit in zip(pending, ends, hits):
+        for piece, end, hit in zip(pending, ends, hits):
             if not hit:
                 self.enqueue(piece)
                 continue
-            _, bt, lo, hi = piece
+            t, d, lo, hi = piece
             mask = in_bin[end - (hi - lo) : end]
-            moved.append((t, take_batch(bt, lo + np.flatnonzero(mask))))
+            idx = lo + np.flatnonzero(mask)
+            moved.append(Piece(t, take(d, idx), 0, len(idx)))
             rest = lo + np.flatnonzero(~mask)
             if len(rest):
-                self.enqueue(whole(take_batch(bt, rest)))
+                self.enqueue(Piece(t, take(d, rest), 0, len(rest)))
         return payload, nbytes, moved
 
     def take_inputs(self) -> None:
@@ -427,13 +409,12 @@ class _SInstance(_LogicHost):
         for sb in self.owner.state_ch.take(self.worker):
             b, payload, pending, src_worker = sb.data
             self.logic.install_bin(b, payload, sb.nbytes)
-            for _, pb in pending:
-                self.enqueue(whole(pb))
+            for piece in pending:
+                self.enqueue(piece)
             sim.state_bytes[sim.process_of[src_worker]] -= sb.nbytes
             sim.state_bytes[sim.process_of[self.worker]] += sb.nbytes
             self.installs.append(sb.nbytes)
-        for piece in self.data_ch.take(self.worker):  # F's pieces
-            self.enqueue(piece)
+        super().take_inputs()  # F's pieces
 
     def schedule(self, ctx: Ctx) -> bool:
         super().schedule(ctx)
@@ -447,7 +428,8 @@ class _SInstance(_LogicHost):
 
 class MigratableOperator:
     """Builds the F→S pair with data, control and state channels, a probe on
-    S's output, and Property-2 checking against a :class:`ConfigAuthority`."""
+    S's output, and Property-2 checking against a :class:`ConfigAuthority`.
+    F sends each record to another process as ``record_nbytes`` bytes."""
 
     def __init__(
         self,
@@ -458,18 +440,19 @@ class MigratableOperator:
         initial_assignment: np.ndarray,
         logic_factory: Callable[[int], StateLogic],
         c_record: float,
+        record_nbytes: float,
         data_input: InputHandle,
         control_input: InputHandle,
         bin_fn: Callable[[np.ndarray], np.ndarray],
-        authority: Optional[ConfigAuthority] = None,
+        authority: ConfigAuthority,
     ):
         self.logic_factory = logic_factory
         self.c_record = c_record
+        self.record_nbytes = record_nbytes
         self.bin_fn = bin_fn
         self.authority = authority
-        self.shared = _SharedRouting(RoutingTable(n_bins, initial_assignment))
-
-        self.f_op = _FOperator(sim, f"{name}.F", self)
+        routing = RoutingTable(n_bins, initial_assignment)
+        self.f_op = _FOperator(sim, f"{name}.F", self, routing)
         self.s_op = _HostOperator(sim, f"{name}.S", self)
         self.data_ch = Channel(f"{name}.data_in", data_input, self.f_op)
         self.control_ch = Channel(f"{name}.control", control_input, self.f_op)
@@ -495,7 +478,7 @@ class NativeOperator:
     ):
         self.logic_factory = logic_factory
         self.c_record = c_record
-        self.bin_fn = self.authority = None
+        self.bin_fn = None  # no bins, so no Property-2 check
         self.op = _HostOperator(sim, f"{name}.native", self)
         self.data_ch = Channel(f"{name}.data_in", data_input, self.op)
         self.op.add_instances(lambda w: _LogicHost(self, w, self.data_ch))

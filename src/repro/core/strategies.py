@@ -126,7 +126,7 @@ class MigrationDriver:
         control_input: InputHandle,
         probe: Probe,
         *,
-        authority: Optional[ConfigAuthority] = None,
+        authority: ConfigAuthority,
         gap_ticks: int = 0,
     ):
         self.sim = sim
@@ -169,9 +169,8 @@ class MigrationDriver:
     def on_tick(self, sim: Simulation, t0: float) -> None:
         if self.control.could_produce is None:  # closed (drain): nothing to drive
             return
-        if self.authority is not None:
-            # S applies nothing before its output frontier: bound the table
-            self.authority.table.compact(self.probe.op.could_produce)
+        # S applies nothing before its output frontier: bound the table
+        self.authority.table.compact(self.probe.op.could_produce)
         t_ns = int(round(t0 * 1e9))
         if self.active is None and self.queue and t0 >= self.queue[0][0] - 1e-12:
             _, self.active, self._steps = self.queue.pop(0)
@@ -188,8 +187,7 @@ class MigrationDriver:
             elif prev_done and rec.steps_issued < rec.steps_total:
                 step = self._steps[rec.steps_issued]
                 updates = [ControlUpdate(t_ns, b, w) for b, w in step]
-                if self.authority is not None:
-                    self.authority.register(updates)
+                self.authority.register(updates)
                 # the controller feeds the control stream from worker 0
                 self.control.send(0, Batch(time=t_ns, data=updates, nbytes=64.0))
                 if rec.started_s is None:

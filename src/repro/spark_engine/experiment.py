@@ -26,12 +26,13 @@ def migration_timeline(
     n_bins: int = 64,
     n_keys: int = 200_000,
     batch_records: int = 50_000,
-    n_batches: int = 18,
     migrate_at_batch: int = 8,
+    tail_batches: int = 4,
     seed: int = 0,
 ) -> dict:
     """Run the timeline; returns batch metrics, summary and final counts.
-    Raises ``ValueError`` if the plan has steps left after ``n_batches``.
+    It runs ``migrate_at_batch`` batches, one batch per step of the plan,
+    then ``tail_batches``.
 
     Batch 0 loads one instance of every key (the paper's §5.2 methodology),
     so state size — and hence per-step movement volume — is comparable
@@ -41,28 +42,19 @@ def migration_timeline(
     eng = SparkMigratableCount(spark, n_workers=n_workers, n_bins=n_bins)
     moves = migration_moves(n_bins, n_workers)
     steps = plan_steps(moves, strategy, assignment=eng.routing.copy())
+    plan = [None] * migrate_at_batch + steps + [None] * tail_batches
     all_keys = []
     timeline = []
-    step_i = 0
-    for b in range(n_batches):
+    for b, step in enumerate(plan):
         if b == 0:
             keys = np.arange(n_keys, dtype=np.int64)
         else:
             keys = rng.integers(0, n_keys, batch_records)
         all_keys.append(keys)
-        step = None
-        if b >= migrate_at_batch and step_i < len(steps):
-            step = steps[step_i]
-            step_i += 1
         m = eng.process_batch(keys, moves=step)
         m["batch"] = b
         m["migrating"] = step is not None
         timeline.append(m)
-    if step_i < len(steps):
-        raise ValueError(
-            f"{strategy}: {n_batches} batches from batch {migrate_at_batch} "
-            f"run {step_i} of the plan's {len(steps)} steps"
-        )
     baseline = float(
         np.median([m["batch_s"] for m in timeline if not m["migrating"]])
     )
@@ -120,14 +112,9 @@ def spark_rows(
         for owner in (1, 0):
             warm.process_batch(np.arange(batch_records), moves=[(0, owner)])
         rows = []
-        moves = migration_moves(scale["n_bins"], scale["n_workers"])
         for strategy in ("all_at_once", "batched", "fluid"):
-            steps = len(plan_steps(moves, strategy))
             res = migration_timeline(
-                spark,
-                strategy=strategy,
-                n_batches=migrate_at_batch + steps + tail_batches,
-                **scale,
+                spark, strategy=strategy, tail_batches=tail_batches, **scale
             )
             rows.append(
                 {

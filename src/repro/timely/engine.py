@@ -17,7 +17,7 @@ concepts Megaphone relies on:
 * probes: observe an operator's output frontier (F watches S's);
 * exchange channels: instances address messages to specific workers; one
   multi-destination send (``Ctx.scatter``) hands each worker a
-  :class:`Piece`, a view of one destination-sorted batch;
+  :class:`Piece`, a view of the destination-sorted records;
 * the send-within-capability rule: an operator sends only at times at or
   after its ``could_produce`` from the last frontier pass.
 
@@ -77,13 +77,8 @@ ARRIVAL = "arrival"  # records' arrival times in simulated s; NaN if post-dated
 
 @dataclass(eq=False, slots=True)
 class Batch:
-    """A timestamped batch of records.
-
-    All records in a batch share one logical timestamp ``time`` (the tick
-    their event time falls in). ``data`` is workload-defined: records as a
-    dict of equal-length columns, :data:`ARRIVAL` among them, control
-    updates or state payloads; ``nbytes`` is the modelled wire size.
-    """
+    """A timestamped control or state message: ``data`` is the payload and
+    ``nbytes`` its modelled wire size. Records travel as :class:`Piece`."""
 
     time: int
     data: Any
@@ -91,25 +86,25 @@ class Batch:
 
 
 class Piece(NamedTuple):
-    """Records ``lo:hi`` of ``batch``, at its ``time``: what one worker gets
-    of a multi-destination send. A whole batch is the piece ``(time,
-    batch, 0, n)``."""
+    """Records ``lo:hi`` of ``data``, a dict of equal-length columns
+    (:data:`ARRIVAL` among them), at logical time ``time``: the one shape
+    records take from the input feed to ``logic.apply``. What one worker
+    gets of a multi-destination send is a piece of the gathered columns."""
 
     time: int
-    batch: Batch
+    data: dict
     lo: int
     hi: int
 
 
 class _InFlight(NamedTuple):
-    """A message (a ``Batch`` or a ``Piece``) in flight; ``seq`` is unique,
-    so messages order by (deliver_time, seq) and the batch is never
-    compared."""
+    """A message (anything with a ``time``) in flight; ``seq`` is unique,
+    so messages order by (deliver_time, seq) and are never compared."""
 
     deliver_time: float
     seq: int
     dst_worker: int
-    batch: Batch | Piece
+    msg: Any
 
 
 # builds a NamedTuple from a tuple without the NamedTuple constructor's
@@ -131,7 +126,7 @@ class Channel:
         self.name = name
         self.src = src
         self.dst = dst
-        self.queues: list[list[Batch | Piece]] = [[] for _ in range(dst.sim.workers)]
+        self.queues: list[list] = [[] for _ in range(dst.sim.workers)]
         # sent since the last delivery (unordered); those not due then wait
         # in the heap ``_later``
         self.in_flight: list[_InFlight] = []
@@ -158,9 +153,9 @@ class Channel:
         dst.sim.channels.append(self)
 
     # -- message lifecycle -------------------------------------------------
-    def send(self, dst_worker: int, batch: Batch, deliver_time: float, seq: int) -> None:
-        self.in_flight.append(_tuple_new(_InFlight, (deliver_time, seq, dst_worker, batch)))
-        u, t = self.undelivered, batch.time
+    def send(self, dst_worker: int, msg: Any, deliver_time: float, seq: int) -> None:
+        self.in_flight.append(_tuple_new(_InFlight, (deliver_time, seq, dst_worker, msg)))
+        u, t = self.undelivered, msg.time
         u[t] = u.get(t, 0) + 1
 
     def send_all(self, sent: list[_InFlight], time: int) -> None:
@@ -186,17 +181,17 @@ class Channel:
             return
         due.sort()
         u, q, queues = self.undelivered, self.queued, self.queues
-        for _, _, w, batch in due:
-            t = batch.time
+        for _, _, w, msg in due:
+            t = msg.time
             c = u[t] - 1
             if c:
                 u[t] = c
             else:
                 del u[t]
             q[t] = q.get(t, 0) + 1
-            queues[w].append(batch)
+            queues[w].append(msg)
 
-    def take(self, worker: int, frontier: Optional[float] = None) -> list[Batch | Piece]:
+    def take(self, worker: int, frontier: Optional[float] = None) -> list:
         """Take the worker's queued messages at times before ``frontier``
         (all of them if None), in order; the others stay queued in order."""
         got = self.queues[worker]
@@ -236,8 +231,8 @@ class Operator:
     def earliest_held(self) -> Optional[int]:
         """The earliest time the operator holds a capability at (buffered or
         pending work, or shared state), or None; asked once per frontier
-        pass. By default, the earliest of the instances' ``held_times``."""
-        return min((t for inst in self.instances for t in inst.held_times()), default=None)
+        pass. An operator that holds nothing keeps this default."""
+        return None
 
     def stage(self, t1: float) -> list["OperatorInstance"]:
         """Per-pass work before the instances run; returns the instances to
@@ -255,18 +250,11 @@ class Operator:
 
 
 class OperatorInstance:
-    """Per-worker operator instance. Subclasses implement ``schedule``.
-
-    ``held_times()`` reports capabilities (including buffered/pending work)
-    that hold the operator's output frontier back; an operator that
-    overrides ``earliest_held`` may track them itself.
-    """
+    """Per-worker operator instance. Subclasses implement ``schedule``; the
+    operator's ``earliest_held`` reports the times its instances hold."""
 
     op: Operator
     worker: int
-
-    def held_times(self) -> list[int]:
-        return []
 
     def schedule(self, ctx: "Ctx") -> bool:
         """Run once; charge costs via ``ctx``; return True if work was done."""
@@ -277,7 +265,7 @@ class InputHandle:
     """External source: holds a capability at ``could_produce`` until
     advanced (the attribute an operator's frontier has, too).
 
-    ``send`` delivers a batch to a chosen worker of the destination operator
+    ``send`` delivers a message to a chosen worker of the destination operator
     at the current simulation time (sources are outside the NIC model).
     """
 
@@ -288,14 +276,14 @@ class InputHandle:
         self.output_channels: list[Channel] = []
         sim.inputs.append(self)
 
-    def send(self, dst_worker: int, batch: Batch) -> None:
+    def send(self, dst_worker: int, msg: Any) -> None:
         f = self.could_produce
-        assert f is not None and batch.time >= f, (
-            f"send at {batch.time} behind frontier {f} on {self.name}"
+        assert f is not None and msg.time >= f, (
+            f"send at {msg.time} behind frontier {f} on {self.name}"
         )
         sim = self.sim
         for ch in self.output_channels:
-            ch.send(dst_worker, batch, sim.now, sim.seq)
+            ch.send(dst_worker, msg, sim.now, sim.seq)
             sim.seq += 1
 
     def advance_to(self, t: int) -> None:
@@ -394,23 +382,23 @@ class Ctx:
         channel.send(dst_worker, batch, deliver, sim.seq)
         sim.seq += 1
 
-    def scatter(self, channel: Channel, batch: Batch, counts: list[int]) -> None:
-        """Send ``batch``, its records sorted by destination, in one step:
-        worker ``w`` gets the piece of the next ``counts[w]`` records and
-        their share of ``batch.nbytes``.
+    def scatter(
+        self, channel: Channel, time: int, data: dict, counts: list[int], record_nbytes: float
+    ) -> None:
+        """Send the records ``data`` at ``time``, sorted by destination, in
+        one step: worker ``w`` gets the piece of the next ``counts[w]``
+        records, ``record_nbytes`` each on the wire.
 
         Deliver times, NIC queue entries and ``seq`` numbers equal those of
         one ``send`` per piece in worker order: a cross-process piece starts
         at ``max(now, busy_until)`` of this process's NIC, plus the
         transfer times of the pieces before it."""
-        time = batch.time
         _check_capability(channel, time)
         sim, now = self.sim, self.now
         process_of = sim.process_of
         src_p = process_of[self.worker]
         nic = sim.nics[src_p]
         bw, latency, queued = nic.bw, nic.latency, nic.queued
-        per_record = batch.nbytes / max(sum(counts), 1)
         busy = max(now, nic.busy_until)
         sent, seq, hi = [], sim.seq, 0
         for w, n in enumerate(counts):
@@ -420,11 +408,11 @@ class Ctx:
             if process_of[w] == src_p:
                 deliver = now
             else:
-                nbytes = per_record * n
+                nbytes = record_nbytes * n
                 nic.busy_until = busy = busy + nbytes / bw
                 queued.append((busy, nbytes))
                 deliver = busy + latency
-            piece = _tuple_new(Piece, (time, batch, lo, hi))
+            piece = _tuple_new(Piece, (time, data, lo, hi))
             sent.append(_tuple_new(_InFlight, (deliver, seq, w, piece)))
             seq += 1
         sim.seq = seq

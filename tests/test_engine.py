@@ -4,6 +4,7 @@ import bisect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.latency.histogram import LatencyHistogram
 from repro.timely.cost import CostModel
@@ -29,17 +30,23 @@ def small_cost(**kw):
     return CostModel(**kw)
 
 
+class CollectOp(Operator):
+    """Test operator whose instances hold the times of the messages they
+    keep queued."""
+
+    def earliest_held(self):
+        return min((b.time for inst in self.instances for b in inst.queue), default=None)
+
+
 class Collect(OperatorInstance):
-    """Test operator: consumes input once its time passed the arrive gate."""
+    """Test operator instance: consumes input once its time passed the
+    arrive gate."""
 
     def __init__(self, op_ref, worker, gated=True):
         self.got: list[Batch] = []
         self.queue: list[Batch] = []
         self.gated = gated
         self._ch = None
-
-    def held_times(self):
-        return [b.time for b in self.queue]
 
     def schedule(self, ctx):
         ch = self._ch
@@ -63,7 +70,7 @@ class Collect(OperatorInstance):
 def build_sim(**cost_kw):
     sim = Simulation(small_cost(**cost_kw))
     inp = InputHandle(sim, "in")
-    op = Operator(sim, "collect")
+    op = CollectOp(sim, "collect")
     ch = Channel("c", inp, op)
     insts = []
 
@@ -395,7 +402,7 @@ class TestScatter:
         for bit: same-process and cross-process destinations, from an idle
         NIC and from one busy past the sender's clock."""
         counts = [3, 0, 5, 2, 0, 7, 1, 4]  # worker 2 sends; 2 and 3 share a process
-        nbytes = 1234.567
+        record_nbytes = 56.117
 
         def run(one_step):
             sim, inp, op, ch, insts = build_sim(workers=8)
@@ -403,16 +410,14 @@ class TestScatter:
             if busy_bytes:
                 ctx.send(ch, 7, Batch(time=0, data=None, nbytes=busy_bytes))
                 assert sim.nics[1].busy_until > ctx.now
-            batch = Batch(time=0, data=None, nbytes=nbytes)
             if one_step:
-                ctx.scatter(ch, batch, counts)
-                pieces = [(m.batch.lo, m.batch.hi) for m in ch.in_flight[-6:]]
+                ctx.scatter(ch, 0, {}, counts, record_nbytes)
+                pieces = [(m.msg.lo, m.msg.hi) for m in ch.in_flight[-6:]]
                 assert pieces == [(0, 3), (3, 8), (8, 10), (10, 17), (17, 18), (18, 22)]
             else:
-                per_record = nbytes / sum(counts)
                 for w, n in enumerate(counts):
                     if n:
-                        ctx.send(ch, w, Batch(time=0, data=None, nbytes=per_record * n))
+                        ctx.send(ch, w, Batch(time=0, data=None, nbytes=record_nbytes * n))
             sent = [(m.deliver_time, m.seq, m.dst_worker) for m in ch.in_flight]
             nic = sim.nics[1]
             return sent, list(nic.queued), nic.busy_until, sim.seq, ch.undelivered
@@ -430,15 +435,108 @@ class TestSendWithinCapability:
         a.could_produce = 10
         ctx = Ctx(sim, 0, 0.0)
         ctx.send(ch, 1, Batch(time=10, data=None))
-        ctx.scatter(ch, Batch(time=12, data=None), [1, 1])
+        ctx.scatter(ch, 12, {}, [1, 1], 8.0)
         match = r"a: send at 9 on ab behind its capability 10"
         with pytest.raises(AssertionError, match=match):
             ctx.send(ch, 1, Batch(time=9, data=None))
         with pytest.raises(AssertionError, match=match):
-            ctx.scatter(ch, Batch(time=9, data=None), [0, 1])
+            ctx.scatter(ch, 9, {}, [0, 1], 8.0)
         a.could_produce = None
         with pytest.raises(AssertionError, match=r"behind its capability None"):
             ctx.send(ch, 1, Batch(time=10, data=None))
+
+
+class Relay(OperatorInstance):
+    """Chain test instance: holds each message it takes at a drawn time at
+    or after the message's for a drawn number of ticks, then sends it on to
+    a drawn worker, maybe with enough bytes to queue on the NIC."""
+
+    def __init__(self, draw, inp, out):
+        self.draw, self.inp, self.out = draw, inp, out
+        self.held = []  # (time, tick to send at)
+
+    def schedule(self, ctx):
+        draw, tick, did = self.draw, ctx.sim.tick_index, False
+        for m in self.inp.take(self.worker):
+            self.held.append((m.time + draw(st.integers(0, 2)), tick + draw(st.integers(0, 2))))
+            did = True
+        keep = []
+        for t, due in self.held:
+            if due > tick:
+                keep.append((t, due))
+                continue
+            nbytes = draw(st.sampled_from([0.0, 1e6]))
+            ctx.send(self.out, draw(st.integers(0, 3)), Batch(time=t, data=None, nbytes=nbytes))
+            did = True
+        self.held = keep
+        return did
+
+
+class RelayOp(Operator):
+    def earliest_held(self):
+        return min((t for inst in self.instances for t, _ in inst.held), default=None)
+
+
+class LateChecked(Collect):
+    """Collect that checks that every message it takes is later than every
+    time it applied (no late arrival)."""
+
+    def schedule(self, ctx):
+        last = max((b.time for b in self.got), default=-1)
+        for b in self._ch.queues[self.worker]:
+            assert b.time > last, f"late arrival: {b.time} after {last} was applied"
+        return super().schedule(ctx)
+
+
+def assert_monotone(frontiers):
+    """Each operator's frontiers, one list per tick, never go back and stay
+    closed once closed."""
+    for before, after in zip(frontiers, frontiers[1:]):
+        for f0, f1 in zip(before, after):
+            assert f1 is None or (f0 is not None and f1 >= f0), (f0, f1)
+
+
+class TestProgressSafety:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_chain_keeps_progress_safe(self, data):
+        """input -> A -> B -> sink, with random sends at or ahead of the
+        input frontier, random input advances and saturated workers; A and
+        B hold each message for a while at a later time and send it on
+        within that capability. No send is behind its capability, no
+        frontier goes back, the sink takes no late message, and at drain
+        every frontier closes (Property 3) with every message applied."""
+        draw = data.draw
+        sim = Simulation(small_cost())
+        inp = InputHandle(sim, "in")
+        a, b, sink = RelayOp(sim, "A"), RelayOp(sim, "B"), CollectOp(sim, "sink")
+        ia, ab, bs = Channel("in->A", inp, a), Channel("A->B", a, b), Channel("B->sink", b, sink)
+        a.add_instances(lambda w: Relay(draw, ia, ab))
+        b.add_instances(lambda w: Relay(draw, ab, bs))
+        sinks = []
+
+        def mk(w):
+            sinks.append(LateChecked(sink, w))
+            sinks[-1]._ch = bs
+            return sinks[-1]
+
+        sink.add_instances(mk)
+        sent, frontiers = 0, []
+        for _ in range(draw(st.integers(1, 12))):
+            for w, ahead in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4)):
+                inp.send(w, Batch(time=inp.could_produce + ahead, data=None))
+                sent += 1
+            inp.advance_to(inp.could_produce + draw(st.integers(0, 2)))
+            if draw(st.booleans()):
+                w = draw(st.integers(0, 3))
+                busy = sim.now + draw(st.sampled_from([0.5e-3, 3e-3]))
+                sim.worker_busy[w] = max(sim.worker_busy[w], busy)
+            sim.step_tick()
+            frontiers.append([op.could_produce for op in sim.operators])
+        sim.drain(max_seconds=1.0)
+        frontiers.append([op.could_produce for op in sim.operators])
+        assert_monotone(frontiers)
+        assert sum(len(s.got) for s in sinks) == sent
 
 
 class TestLiveness:

@@ -20,8 +20,7 @@ from repro.core.operators import (
     StateLogic,
     _FInstance,
     _SInstance,
-    take_batch,
-    whole,
+    take,
 )
 from repro.core.strategies import MigrationDriver, initial_assignment
 from repro.microbench.count import CountLogic, run_count
@@ -54,14 +53,38 @@ class PostingCount(CountLogic):
         return out
 
 
+class Reposting(CountLogic):
+    """CountLogic that post-dates the records it applies at an even
+    millisecond by 3 ms, so that they apply again once (and count twice)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.posted, self._post = 0, []
+
+    def apply(self, time, data):
+        super().apply(time, data)
+        if time // MS % 2 == 0:
+            self._post.append((time + 3 * MS, {"k": data["k"].copy()}))
+            self.posted += len(data["k"])
+
+    def take_postdated(self):
+        out, self._post = self._post, []
+        return out
+
+
 def drain_all(notif):
-    """Drain ``notif`` as ``(time, piece)`` entries, in order."""
-    return [(t, p) for t, ps in notif.drain(None) for p in ps]
+    """Drain ``notif``'s pieces, in order."""
+    return [p for _, ps in notif.drain(None) for p in ps]
 
 
 def rows(piece):
-    """The records a piece views, as a batch."""
-    return take_batch(piece.batch, slice(piece.lo, piece.hi))
+    """The records a piece views, as columns."""
+    return take(piece.data, slice(piece.lo, piece.hi))
+
+
+def piece_of(t, data):
+    """All records of the columns ``data`` as one piece at ``t``."""
+    return Piece(t, data, 0, len(data["k"]))
 
 
 class Rig:
@@ -97,6 +120,7 @@ class Rig:
             initial_assignment=assign,
             logic_factory=mk,
             c_record=100e-9,
+            record_nbytes=8.0,
             data_input=self.data,
             control_input=self.control,
             bin_fn=lambda k: range_bin_of_keys(k, BINS, DOMAIN),
@@ -111,18 +135,9 @@ class Rig:
         return self.sim.tick_index * MS
 
     def send_keys(self, keys, worker=0):
-        t = self.now_ns()
-        self.data.send(
-            worker,
-            Batch(
-                time=t,
-                data={
-                    "k": np.array(keys, dtype=np.int64),
-                    ARRIVAL: np.full(len(keys), self.sim.tick_index * 1e-3),
-                },
-                nbytes=8.0 * len(keys),
-            ),
-        )
+        arrivals = np.full(len(keys), self.sim.tick_index * 1e-3)
+        cols = {"k": np.array(keys, dtype=np.int64), ARRIVAL: arrivals}
+        self.data.send(worker, piece_of(self.now_ns(), cols))
 
     def advance_both(self):
         t1 = self.now_ns() + MS
@@ -184,7 +199,7 @@ class TestMigrationInitiation:
         # counts preserved: installed at the new owner
         assert r.logics[3].counts[key] == 4
         # shipping the bin dropped the migration and its capability
-        assert not r.mo.shared.migrations
+        assert not r.mo.f_op.migrations
 
     def test_records_at_migration_time_go_to_new_owner(self):
         r = Rig()
@@ -232,7 +247,7 @@ class TestMigrationInitiation:
         r.control.send(0, Batch(time=t, data=[ControlUpdate(t, 0, 0)]))
         r.advance_both()
         r.tick(2)
-        assert not r.mo.shared.migrations
+        assert not r.mo.f_op.migrations
 
 
 class TestApplyCharge:
@@ -267,7 +282,7 @@ class TestApplyCharge:
         # more columns than records in the timer batch, as NEXMark's payloads
         data = {c: np.zeros(n, dtype=np.int64) for c in "kwxyz"}
         data[ARRIVAL] = np.zeros(n) if arrivals else np.full(n, np.nan)
-        return whole(Batch(time=0, data=data))
+        return piece_of(0, data)
 
     @staticmethod
     def _apply(sim, host):
@@ -295,48 +310,43 @@ class TestApplyCharge:
 
 
 class TestRouting:
-    def test_route_matches_take_batch_per_destination(self):
-        """F's one send of a gathered batch against one ``take_batch`` per
-        destination: same destinations in order, and each piece views the
-        same columns, arrivals among them, and time; the NIC carries each
-        cross-process destination's bytes. Worker 1 owns none of the keys
-        and gets no piece."""
+    def test_route_matches_take_per_destination(self):
+        """F's one send of a routed piece's gathered records against one
+        ``take`` per destination: same destinations in order, and each
+        piece views the same columns, arrivals among them, at the routed
+        piece's time; the NIC carries each cross-process destination's
+        ``record_nbytes`` per record. The routed piece views the middle of
+        its columns. Worker 1 owns none of the keys and gets no piece."""
         r = Rig()
         rng = np.random.default_rng(3)
         width = DOMAIN // BINS
         bins = rng.choice([b for b in range(BINS) if b % W != 1], 200)
         keys = bins * width + rng.integers(0, width, len(bins))
-        batch = Batch(
-            time=4 * MS,
-            data={
-                "k": keys,
-                "v": rng.random(len(keys)),
-                ARRIVAL: np.sort(rng.random(len(keys))),
-            },
-            nbytes=1000.3,
-        )
-        r.mo.f_op.instances[0]._route(Ctx(r.sim, 0, 0.0), batch)
+        cols = {"k": keys, "v": rng.random(len(keys)), ARRIVAL: np.sort(rng.random(len(keys)))}
+        piece = Piece(4 * MS, cols, 20, 170)
+        r.mo.f_op.instances[0]._route(Ctx(r.sim, 0, 0.0), piece)
         sent = sorted(r.mo.data_out_ch.in_flight, key=lambda m: m.seq)
 
-        owners = r.mo.shared.routing.lookup(batch.time, r.mo.bin_fn(keys))
-        per_rec = batch.nbytes / len(keys)
+        routed = rows(piece)
+        owners = r.mo.f_op.routing.lookup(piece.time, r.mo.bin_fn(routed["k"]))
         expected = []
         for w in range(W):
             idx = np.flatnonzero(owners == w)
             if len(idx):
-                expected.append((w, take_batch(batch, idx, per_rec * len(idx))))
+                expected.append((w, take(routed, idx)))
         assert [w for w, _ in expected] == [0, 2, 3]
         assert [m.dst_worker for m in sent] == [w for w, _ in expected]
-        assert len({id(m.batch.batch) for m in sent}) == 1  # one gathered batch
+        assert len({id(m.msg.data) for m in sent}) == 1  # one gathered copy
         for m, (_, ref) in zip(sent, expected):
-            assert m.batch.time == ref.time
-            got = rows(m.batch)
-            assert got.time == ref.time
-            assert got.data.keys() == ref.data.keys()
-            for name in ref.data:
-                assert np.array_equal(got.data[name], ref.data[name])
+            assert m.msg.time == piece.time
+            got = rows(m.msg)
+            assert got.keys() == ref.keys()
+            for name in ref:
+                assert np.array_equal(got[name], ref[name])
         # workers 2 and 3 are in the other process
-        assert [nb for _, nb in r.sim.nics[0].queued] == [ref.nbytes for _, ref in expected[1:]]
+        assert [nb for _, nb in r.sim.nics[0].queued] == [
+            8.0 * len(ref["k"]) for _, ref in expected[1:]
+        ]
 
 
 class TestStagedPass:
@@ -354,9 +364,7 @@ class TestStagedPass:
                 if misplace is not None and misplace[:2] == (w, t):
                     bins[1] = misplace[2]
                 keys = np.array(bins, dtype=np.int64) * width
-                s_inst.notif.notify_at(
-                    t, whole(Batch(time=t, data={"k": keys, ARRIVAL: np.zeros(3)}))
-                )
+                s_inst.notif.notify_at(t, piece_of(t, {"k": keys, ARRIVAL: np.zeros(3)}))
         r.data.close()
         r.control.close()
         r.sim.recompute_frontiers()
@@ -368,8 +376,8 @@ class TestStagedPass:
         assert [len(r.mo.s_op.instances[w].ripe) for w in range(W)] == [3, 3, 0, 3]
 
     def test_gather_keeps_piece_order_and_arrivals(self):
-        """Two workers' pieces of one destination-sorted batch, next to a
-        post-dated batch (NaN arrivals) and a whole routed batch: each
+        """Two workers' pieces of one destination-sorted routed send, next
+        to post-dated records (NaN arrivals) and another routed piece: each
         worker applies its pieces' records in arrival order with their
         arrivals, and the tick records the latency of the arrived records
         only."""
@@ -377,15 +385,15 @@ class TestStagedPass:
         width = DOMAIN // BINS
         t = 1 * MS
         sorted_keys = np.array([0, 4, 8, 1, 5, 9]) * width  # workers 0,0,0,1,1,1
-        shared = Batch(time=t, data={"k": sorted_keys, ARRIVAL: np.arange(1, 7) / 10})
-        timer = Batch(time=t, data={"k": np.array([12 * width]), ARRIVAL: [np.nan]})
-        late = Batch(time=t, data={"k": np.array([4 * width + 1]), ARRIVAL: [0.9]})
+        shared = {"k": sorted_keys, ARRIVAL: np.arange(1, 7) / 10}
+        timer = {"k": np.array([12 * width]), ARRIVAL: [np.nan]}
+        late = {"k": np.array([4 * width + 1]), ARRIVAL: [0.9]}
         host0, host1 = r.mo.s_op.instances[:2]
         for host, piece in [
-            (host0, whole(timer)),
+            (host0, piece_of(t, timer)),
             (host1, Piece(t, shared, 3, 6)),
             (host0, Piece(t, shared, 0, 3)),
-            (host0, whole(late)),
+            (host0, piece_of(t, late)),
         ]:
             host.notif.notify_at(t, piece)
         r.data.close()
@@ -454,7 +462,7 @@ class TestProgressChecks:
         s_inst = r.mo.s_op.instances[0]
         assert s_inst.applied == 0
         with pytest.raises(AssertionError, match=r"c.S\[0\]: batch at 0 arrived after time 0 was applied \(late"):
-            s_inst.enqueue(whole(Batch(time=0, data={"k": np.array([1])})))
+            s_inst.enqueue(piece_of(0, {"k": np.array([1])}))
 
     def test_frontier_going_back_rejected(self):
         r = Rig()
@@ -503,6 +511,50 @@ class TestProgressChecks:
         assert np.count_nonzero(at_post == 0) == 2
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_rig_keeps_progress_safe(self, data):
+        """An F/S rig driven at random: records sent at or ahead of the data
+        frontier, updates moving random bins at increasing times on the
+        control stream, independent input advances, saturated workers, and
+        post-dated records that may be pending in a moving bin. No send is
+        behind its capability, no frontier goes back, no piece reaches S
+        late, and at drain every frontier closes (Property 3), every
+        migration has shipped, and every record sent or post-dated applied
+        once at its bin's owner (Property 2, checked on every apply)."""
+        draw = data.draw
+        r = Rig(logic=Reposting, bin_nbytes=draw(st.sampled_from([1e3, 2e6])))
+        keys = st.lists(st.integers(0, DOMAIN - 1), min_size=1, max_size=6)
+        sent, last_update, frontiers = 0, -MS, []
+        for _ in range(draw(st.integers(1, 12))):
+            for w, ahead, ks in draw(
+                st.lists(st.tuples(st.integers(0, W - 1), st.integers(0, 3), keys), max_size=3)
+            ):
+                cols = {"k": np.array(ks), ARRIVAL: np.full(len(ks), r.sim.now)}
+                r.data.send(w, piece_of(r.data.could_produce + ahead * MS, cols))
+                sent += len(ks)
+            if draw(st.booleans()):
+                t = max(last_update + MS, r.control.could_produce) + draw(st.integers(0, 3)) * MS
+                u = ControlUpdate(t, draw(st.integers(0, BINS - 1)), draw(st.integers(0, W - 1)))
+                r.authority.register([u])
+                r.control.send(0, Batch(time=t, data=[u]))
+                last_update = t
+            for h in (r.data, r.control):
+                h.advance_to(h.could_produce + draw(st.integers(0, 2)) * MS)
+            if draw(st.booleans()):
+                w = draw(st.integers(0, W - 1))
+                busy = r.sim.now + draw(st.sampled_from([0.5e-3, 3e-3]))
+                r.sim.worker_busy[w] = max(r.sim.worker_busy[w], busy)
+            r.tick()
+            frontiers.append([op.could_produce for op in r.sim.operators])
+        r.sim.drain(max_seconds=2.0)
+        frontiers.append([op.could_produce for op in r.sim.operators])
+        for before, after in zip(frontiers, frontiers[1:]):
+            for f0, f1 in zip(before, after):
+                assert f1 is None or (f0 is not None and f1 >= f0), (f0, f1)
+        assert not r.mo.f_op.migrations and not r.mo.f_op.pending
+        assert r.total_counts() == sent + sum(lg.posted for lg in r.logics)
+
     @staticmethod
     def _migrate_late(r):
         """Migrate bin 0 at 3 ms, certain at once (the control frontier is
@@ -530,8 +582,8 @@ class TestProgressChecks:
         """F that drops its capability at the migration time before it ships
         the bin sends the state behind its own frontier."""
         r = Rig()
-        shared = r.mo.shared
-        r.mo.f_op.earliest_held = lambda: shared.pending[0].time if shared.pending else None
+        f = r.mo.f_op
+        f.earliest_held = lambda: f.pending[0].time if f.pending else None
         with pytest.raises(
             AssertionError,
             match=r"c.F: send at 3000000 on c.state behind its capability 4000000",
@@ -557,7 +609,7 @@ class TestRoutingCompaction:
         for _ in range(8):
             r.advance_both()
             r.tick()
-            epochs.append(list(r.mo.shared.routing.times))
+            epochs.append(list(r.mo.f_op.routing.times))
         assert [0, t_up] in epochs  # kept while F1 held the record
         assert epochs[-1] == [t_up]  # compacted once it was routed
         assert r.logics[0].counts[0] == 1
@@ -730,19 +782,19 @@ class TestPendingRecordsMigrate:
                     arrivals = np.full(len(keys), np.nan)
                 else:
                     arrivals = rng.random(len(keys))
-                batch = Batch(time=t, data={"k": keys, ARRIVAL: arrivals})
-                notif.notify_at(t, Piece(t, batch, pad, len(keys) - pad))
+                cols = {"k": keys, ARRIVAL: arrivals}
+                notif.notify_at(t, Piece(t, cols, pad, len(keys) - pad))
 
         def reference(notif):
             keep, moved = Notificator(), []
-            for t, piece in drain_all(notif):
-                batch = rows(piece)
-                mask = r.mo.bin_fn(batch.data["k"]) == b
+            for piece in drain_all(notif):
+                t, cols = piece.time, rows(piece)
+                mask = r.mo.bin_fn(cols["k"]) == b
                 if mask.any():
-                    moved.append((t, take_batch(batch, np.nonzero(mask)[0])))
+                    moved.append(piece_of(t, take(cols, np.nonzero(mask)[0])))
                     rest = np.nonzero(~mask)[0]
                     if len(rest):
-                        keep.notify_at(t, whole(take_batch(batch, rest)))
+                        keep.notify_at(t, piece_of(t, take(cols, rest)))
                 else:
                     keep.notify_at(t, piece)
             return keep, moved
@@ -754,25 +806,25 @@ class TestPendingRecordsMigrate:
         _, _, moved = s_inst.uninstall_bin(b)
         for n in (s_inst.notif, ref):
             late = {"k": np.array([lo]), ARRIVAL: np.array([0.5])}
-            n.notify_at(8 * MS, whole(Batch(time=8 * MS, data=late)))
+            n.notify_at(8 * MS, piece_of(8 * MS, late))
 
-        def flat(entries):
+        def flat(pieces):
             out = []
-            for t, bt in entries:
-                out.append((t, bt.data["k"].tolist(), bt.data[ARRIVAL].tobytes()))
+            for p in pieces:
+                cols = rows(p)
+                out.append((p.time, cols["k"].tolist(), cols[ARRIVAL].tobytes()))
             return out
 
-        assert any(len(bt.data["k"]) == 4 for _, bt in moved)
+        assert any(p.hi - p.lo == 4 for p in moved)
         assert flat(moved) == flat(ref_moved)
-        kept = [[(t, rows(p)) for t, p in drain_all(n)] for n in (s_inst.notif, ref)]
-        assert flat(kept[0]) == flat(kept[1])
+        assert flat(drain_all(s_inst.notif)) == flat(drain_all(ref))
 
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_uninstall_bin_splits_pending_in_order(self, data):
         """Pending pieces at several times (views into shared routed
-        batches, and whole post-dated batches with NaN arrivals): the moved
+        columns, and post-dated records with NaN arrivals): the moved
         records are exactly the bin's, in (time, arrival) order with their
         arrivals; the rest stay pending in that order and hold the earliest
         of their times; a piece enqueued afterwards queues behind the kept
@@ -790,47 +842,44 @@ class TestPendingRecordsMigrate:
             max_size=8,
         )
 
-        def batch(t, ks, arrivals):
-            return Batch(time=t, data={"k": np.array(ks), ARRIVAL: arrivals})
+        def cols(ks, arrivals):
+            return {"k": np.array(ks), ARRIVAL: arrivals}
 
-        # routed batches with distinct arrivals
+        # routed records with distinct arrivals
         routed = data.draw(st.lists(st.tuples(times, keys), min_size=1, max_size=3))
-        shared = [
-            batch(t, ks, j + np.arange(len(ks)) / 10) for j, (t, ks) in enumerate(routed)
-        ]
+        shared = [(t, cols(ks, j + np.arange(len(ks)) / 10)) for j, (t, ks) in enumerate(routed)]
 
         @st.composite
         def view(draw):
-            bt = draw(st.sampled_from(shared))
-            n = len(bt.data["k"])
+            t, d = draw(st.sampled_from(shared))
+            n = len(d["k"])
             lo = draw(st.integers(0, n - 1))
-            return Piece(bt.time, bt, lo, draw(st.integers(lo + 1, n)))
+            return Piece(t, d, lo, draw(st.integers(lo + 1, n)))
 
         timer = st.tuples(times, keys).map(
-            lambda tk: whole(batch(*tk, np.full(len(tk[1]), np.nan)))
+            lambda tk: piece_of(tk[0], cols(tk[1], np.full(len(tk[1]), np.nan)))
         )
         pieces = data.draw(st.lists(st.one_of(view(), timer), max_size=10))
         for piece in pieces:
             s_inst.enqueue(piece)
 
-        def records(entries):
+        def records(pieces):
             """(time, key, arrival or None) of each record, in order."""
             return [
-                (t, int(k), None if np.isnan(a) else float(a))
-                for t, bt in entries
-                for k, a in zip(bt.data["k"], bt.data[ARRIVAL])
+                (p.time, int(k), None if np.isnan(a) else float(a))
+                for p in pieces
+                for k, a in zip(rows(p)["k"], rows(p)[ARRIVAL])
             ]
 
         by_time = sorted(pieces, key=lambda p: p.time)  # stable: arrival order
-        expected = records((p.time, rows(p)) for p in by_time)
+        expected = records(by_time)
         _, _, moved = s_inst.uninstall_bin(b)
-        assert all(bt.time == t for t, bt in moved)
         assert records(moved) == [rec for rec in expected if rec[1] // width == b]
         kept = [rec for rec in expected if rec[1] // width != b]
         assert s_inst.notif.min_time() == min((t for t, _, _ in kept), default=None)
         after = (6 * MS, width, 99.0)
-        s_inst.enqueue(whole(batch(6 * MS, [width], [99.0])))
-        pending = records((t, rows(p)) for t, p in drain_all(s_inst.notif))
+        s_inst.enqueue(piece_of(6 * MS, cols([width], [99.0])))
+        pending = records(drain_all(s_inst.notif))
         assert pending == sorted(kept + [after], key=lambda rec: rec[0])
 
 

@@ -182,8 +182,9 @@ ADV_EVENTS, ADV_BINS, ADV_W = 6_000, 64, 8
 
 
 def adversarial_run(query, migrations=None):
-    """Q4 or Q5 over 6k events (0.6 s) on Megaphone. Their timers stay
-    pending until the input closes, so every moved bin carries some."""
+    """Q4, Q5 or Q8 over 6k events (0.6 s) on Megaphone. Q4's and Q5's
+    timers stay pending until the input closes, so every moved bin carries
+    some; Q8 moves join state only."""
     return run_nexmark(
         query=query,
         impl="megaphone",
@@ -211,7 +212,7 @@ def moves(draw, bins=st.integers(0, ADV_BINS - 1)):
 
 @settings(max_examples=10, deadline=None)
 @given(
-    query=st.sampled_from(["q4", "q5"]),
+    query=st.sampled_from(["q4", "q5", "q8"]),
     strategy=st.sampled_from(["all_at_once", "batched", "fluid"]),
     at_s=st.floats(0.05, 0.4),
     first=moves(),

@@ -61,6 +61,10 @@ class TestEngineBasics:
         assert eng.state.count() <= 500
 
 
+# 10, 10 and 14 batches: 3 before the plan's 1, 4 and 4 steps, then these
+TAIL = {"all_at_once": 6, "batched": 3, "fluid": 7}
+
+
 @pytest.mark.parametrize("strategy", ["all_at_once", "batched", "fluid"])
 class TestMigrationStrategies:
     def test_counts_survive_migration(self, spark, strategy):
@@ -71,8 +75,8 @@ class TestMigrationStrategies:
             n_bins=16,
             n_keys=3_000,
             batch_records=5_000,
-            n_batches=10 if strategy != "fluid" else 14,
             migrate_at_batch=3,
+            tail_batches=TAIL[strategy],
             seed=7,
         )
         eng = res["engine"]
@@ -88,8 +92,8 @@ class TestMigrationStrategies:
             n_bins=16,
             n_keys=3_000,
             batch_records=5_000,
-            n_batches=10 if strategy != "fluid" else 14,
             migrate_at_batch=3,
+            tail_batches=TAIL[strategy],
             seed=8,
         )
         eng = res["engine"]
@@ -146,24 +150,11 @@ class TestMovementAccounting:
             n_bins=16,
             n_keys=3_000,
             batch_records=4_000,
-            n_batches=7,
             migrate_at_batch=3,
+            tail_batches=3,
             seed=9,
         )
         assert res["migration_batches"] == 1
-
-    def test_too_few_batches_for_the_plan_raise(self, spark):
-        with pytest.raises(ValueError, match="fluid: 5 batches from batch 3 run 2 of"):
-            migration_timeline(
-                spark,
-                strategy="fluid",
-                n_workers=4,
-                n_bins=16,
-                n_keys=1_000,
-                batch_records=1_000,
-                n_batches=5,
-                migrate_at_batch=3,
-            )
 
     def test_fluid_moves_one_bin_per_batch(self, spark):
         res = migration_timeline(
@@ -173,8 +164,8 @@ class TestMovementAccounting:
             n_bins=16,
             n_keys=3_000,
             batch_records=4_000,
-            n_batches=10,
             migrate_at_batch=3,
+            tail_batches=3,
             seed=10,
         )
         assert res["migration_batches"] == len(migration_moves(16, 4))
