@@ -22,25 +22,33 @@ from __future__ import annotations
 import numpy as np
 
 
+# splitmix64's constants, built once: hash_keys runs on every routed and
+# every staged batch
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+# shift that keeps the top log2(n_bins) bits, for n_bins = 2**1 .. 2**63
+_MSB_SHIFT = {1 << i: np.uint64(64 - i) for i in range(1, 64)}
+
+
 def hash_keys(keys: np.ndarray) -> np.ndarray:
     """Vectorised splitmix64 finaliser over int keys (returns uint64)."""
     z = keys.astype(np.uint64, copy=True)
     # uint64 array arithmetic wraps modulo 2**64 without a warning
-    z += np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z += _GAMMA
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    z ^= z >> _S31
     return z
 
 
 def bin_of_keys(keys: np.ndarray, n_bins: int) -> np.ndarray:
     """Bin id = most significant ``log2(n_bins)`` bits of the key hash."""
-    assert n_bins >= 1 and n_bins & (n_bins - 1) == 0, (
-        "bin count must be a power of two"
-    )
     if n_bins == 1:
         return np.zeros(len(keys), dtype=np.int64)
-    shift = np.uint64(64 - (int(n_bins).bit_length() - 1))
+    shift = _MSB_SHIFT.get(n_bins)
+    assert shift is not None, "bin count must be a power of two"
     return (hash_keys(keys) >> shift).astype(np.int64)
 
 

@@ -187,7 +187,8 @@ def run_count(
             all_keys.append(keys)
         # records dispatched at tick start arrived during the preceding
         # tick interval (open-loop batching granularity = one tick)
-        arrivals = t0 - cost.tick + np.linspace(0.0, cost.tick, n, endpoint=False)
+        # np.linspace(0, tick, n, endpoint=False), by the same arithmetic
+        arrivals = t0 - cost.tick + np.arange(n) * (cost.tick / n)
         return {"k": keys}, arrivals
 
     steady, records = run_open_loop(

@@ -16,7 +16,6 @@ from repro.nexmark.generator import AUCTION, BID, PERSON
 from repro.nexmark.stream import (
     CLOSED,
     EUR,
-    FIELDS,
     HOT_STATE_CODES,
     Q3_CATEGORY,
     TIMER,
@@ -39,7 +38,7 @@ class _NativeBase(StateLogic):
 
     def _timer(self, t_ns: int, key: int, w: int = 0) -> None:
         # native operators build their notification payloads by hand
-        pl = payload(k=np.array([key]), w=np.array([w]))
+        pl = payload(fields=self.q.fields, k=np.array([key]), w=np.array([w]))
         pl["etype"] = np.array([TIMER], dtype=np.int64)
         self._post.append((t_ns, pl))
 

@@ -1,9 +1,18 @@
 """Streaming NEXMark on the simulated timely runtime.
 
-Events flow as dict-of-numpy-array batches with one unified schema
-(:data:`FIELDS`); each query assigns its routing key into ``k``. Multi-input
-queries (Q3, Q8) multiplex both relations onto one keyed stream — exactly
-the reduction the paper describes for operators with multiple data inputs.
+Events flow as dict-of-numpy-array batches. :data:`FIELDS` is the schema
+every event can be projected from; each query assigns its routing key into
+``k``. Multi-input queries (Q3, Q8) multiplex both relations onto one keyed
+stream — exactly the reduction the paper describes for operators with
+multiple data inputs.
+
+As in the paper, where each query maps the events into a record type of its
+own, a query's records carry only its :data:`QUERY_FIELDS`: the fields its
+logic reads, plus ``k`` (F routes on it) and, where the logic walks records
+in stream order with :func:`rows`, ``seq``. ``run_nexmark`` projects the
+replayed stream to them, and the logics build their timer payloads over the
+same fields (``QueryRun.fields``), so every pending record of a query has
+the same columns.
 
 ``run_nexmark`` replays a generated event stream at its native rate on the
 shared open-loop harness (:func:`repro.core.harness.run_open_loop`),
@@ -13,7 +22,7 @@ records and the query's emitted results for oracle comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -27,9 +36,9 @@ from repro.nexmark.generator import nexmark_events, split_events
 from repro.timely.cost import CostModel
 from repro.timely.engine import Simulation
 
-# unified stream schema: etypes 0 person / 1 auction / 2 bid / 3 closed
+# the schema of every event: etypes 0 person / 1 auction / 2 bid / 3 closed
 # auction / 9 timer
-FIELDS = [
+FIELDS = (
     "k",
     "seq",
     "etype",
@@ -44,19 +53,22 @@ FIELDS = [
     "state_code",
     "city_code",
     "w",
-]
+)
 CLOSED, TIMER = 3, 9
 HOT_STATE_CODES = (0, 1, 2)  # OR, ID, CA in generator.US_STATES order
 Q3_CATEGORY = 7
 EUR = 0.908  # Q1's dollar-to-euro rate
 
 
-def payload(n: int = 0, **cols) -> dict[str, np.ndarray]:
-    """Build a stream payload with all schema fields present."""
+def payload(
+    n: int = 0, *, fields: Sequence[str] = FIELDS, **cols
+) -> dict[str, np.ndarray]:
+    """Build a stream payload with the ``fields`` present (zeros where
+    ``cols`` gives none); columns not among them are dropped."""
     if cols:
         n = max(n, max(len(np.atleast_1d(v)) for v in cols.values()))
     out = {}
-    for f in FIELDS:
+    for f in fields:
         if f in cols:
             out[f] = np.asarray(cols[f]).astype(
                 np.float64 if f == "price" else np.int64
@@ -121,7 +133,9 @@ class NexLogic(StateLogic):
         self._post: list[tuple[int, dict]] = []
 
     def timer(self, t_ns: int, **cols) -> None:
-        self._post.append((t_ns, payload(**cols, etype=[TIMER])))
+        self._post.append(
+            (t_ns, payload(fields=self.q.fields, **cols, etype=[TIMER]))
+        )
 
     def take_postdated(self):
         out, self._post = self._post, []
@@ -153,6 +167,8 @@ class QueryRun:
     # simulated per-bin state bytes, like the nominal key domain in the
     # count microbenchmark (DESIGN.md substitution table)
     state_scale: float = 1.0
+    # the columns of the query's records, timer payloads included
+    fields: Sequence[str] = FIELDS
 
 
 @dataclass
@@ -165,8 +181,23 @@ class NexRun:
     sim: Simulation
 
 
+# the fields each query's logic reads (both implementations), plus ``k``,
+# and ``seq`` where the logic uses rows()
+QUERY_FIELDS = {
+    "q1": ("k", "etype", "price"),
+    "q2": ("k", "etype", "auction", "price"),
+    "q3": ("k", "seq", "etype", "id", "category", "state_code"),
+    "q4": ("k", "seq", "etype", "ts", "category", "expires", "price"),
+    "q5": ("k", "seq", "etype", "ts", "w"),
+    "q6": ("k", "seq", "etype", "price"),
+    "q7": ("k", "seq", "etype", "price"),
+    "q8": ("k", "seq", "etype", "ts"),
+}
+
+
 def events_to_stream(query: str, events: pd.DataFrame, qr: QueryRun) -> dict:
-    """Project generated events into the unified keyed stream of a query."""
+    """Project generated events into a query's keyed stream, over all of
+    :data:`FIELDS`."""
     from repro.nexmark.generator import AUCTION, BID, PERSON, US_STATES, CITIES
 
     e = events
@@ -268,12 +299,17 @@ def run_nexmark(
         window_ms=window_ms,
         slide_ms=slide_ms,
         state_scale=state_scale,
+        fields=QUERY_FIELDS[query],
     )
     events = nexmark_events(int(n_events), rate_per_s=rate_per_s, seed=seed)
     if query == "q6":
         stream = closed_auction_stream(events)
     else:
         stream = events_to_stream(query, events, qr)
+    # the replay clock; read before the projection, which drops ``ts`` from
+    # the queries that do not read it
+    ts_s = stream["ts"] * 1e-3
+    stream = {f: stream[f] for f in qr.fields}
     registry = QM.MEGAPHONE_IMPLS if impl == "megaphone" else QN.NATIVE_IMPLS
     logic_cls = registry[query]
     logics: list = []
@@ -285,7 +321,6 @@ def run_nexmark(
 
     # open-loop replay: per tick, ship the events that arrived during the
     # preceding tick interval
-    ts_s = stream["ts"] * 1e-3
     n = len(ts_s)
     cursor = [0]
 

@@ -169,6 +169,19 @@ class TestMigrationSemantics:
         assert run.sim.state_bytes.sum() == pytest.approx(total, rel=1e-6)
 
 
+W_RANDOM = 4
+
+
+@st.composite
+def count_moves(draw, bins):
+    """A move set over distinct ``bins``, maybe empty: random targets, some
+    the bin's owner at startup (bin b starts on worker b mod W)."""
+    return [
+        (b, b % W_RANDOM if draw(st.booleans()) else draw(st.integers(0, W_RANDOM - 1)))
+        for b in draw(st.lists(bins, unique=True))
+    ]
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     strategy=st.sampled_from(["all_at_once", "batched", "fluid"]),
@@ -177,21 +190,15 @@ class TestMigrationSemantics:
     data=st.data(),
 )
 def test_random_migrations_preserve_counts(strategy, seed, n_bins, data):
-    """Hypothesis: arbitrary move sets at arbitrary times never lose or
-    duplicate state (Property 1 under Property 2)."""
-    W = 4
-    n_moves = data.draw(st.integers(1, n_bins))
-    bins = data.draw(
-        st.lists(
-            st.integers(0, n_bins - 1),
-            min_size=n_moves,
-            max_size=n_moves,
-            unique=True,
-        )
-    )
-    moves = [(b, data.draw(st.integers(0, W - 1))) for b in bins]
+    """Hypothesis: an arbitrary move set (maybe empty, some moves to the
+    bin's current owner), then a second one queued a tick later, while the
+    first is active, that moves some of its bins again, never lose or
+    duplicate state (Property 1 under Property 2); both migrations complete
+    and the run drains (Property 3)."""
+    first = data.draw(count_moves(st.integers(0, n_bins - 1)))
+    second = data.draw(count_moves(st.sampled_from([b for b, _ in first] or [0])))
     run = run_count(
-        cost=CostModel(workers=W, workers_per_process=2),
+        cost=CostModel(workers=W_RANDOM, workers_per_process=2),
         nominal_keys=1e6,
         scaled_keys=1 << 10,
         rate=10_000,
@@ -200,9 +207,14 @@ def test_random_migrations_preserve_counts(strategy, seed, n_bins, data):
         warmup_s=0.2,
         keep_inputs=True,
         seed=seed,
-        migrations=[{"at_s": 0.4, "moves": moves, "strategy": strategy}],
+        migrations=[
+            {"at_s": 0.4, "moves": first, "strategy": strategy},
+            {"at_s": 0.401, "moves": second, "strategy": strategy},
+        ],
     )
     assert_counts_correct(run)
+    assert all(rec.completed_s is not None for rec in run.migrations)
+    assert all(op.could_produce is None for op in run.sim.operators)
 
 
 class TestMigrationQueue:

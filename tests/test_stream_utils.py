@@ -1,13 +1,17 @@
 """Unit tests for the NEXMark stream utilities (payload schema, keyed bin
-state helper, stream projections)."""
+state helper, stream projections, each query's fields)."""
 import numpy as np
 import pytest
 
 from repro.core.strategies import initial_assignment
+from repro.nexmark import queries_megaphone as QM
+from repro.nexmark import queries_native as QN
+from repro.nexmark import stream as S
 from repro.nexmark.generator import AUCTION, BID, PERSON, nexmark_events
 from repro.nexmark.stream import (
     CLOSED,
     FIELDS,
+    QUERY_FIELDS,
     KeyedBinState,
     QueryRun,
     closed_auction_stream,
@@ -115,3 +119,51 @@ class TestClosedAuctionStream:
         assert np.array_equal(s["k"], s["seller"])
         # one closed record per auction with at least one valid bid
         assert len(np.unique(s["id"])) == len(s["id"])
+
+
+class _Reads(dict):
+    """A record or a batch that notes the fields read from it."""
+
+    def __init__(self, data, read: set):
+        super().__init__(data)
+        self.read = read
+
+    def __getitem__(self, field):
+        self.read.add(field)
+        return super().__getitem__(field)
+
+
+@pytest.mark.parametrize("impl", ["megaphone", "native"])
+@pytest.mark.parametrize("query", sorted(QUERY_FIELDS))
+def test_query_fields_are_what_the_logic_reads(monkeypatch, query, impl):
+    """A query's replayed records and the timer payloads its logic posts
+    have the same columns (S gathers a pass's pending records by name), and
+    those are the query's fields: every field its logic reads, plus ``k``,
+    which F routes on. ``bin`` is S's column, not the stream's."""
+    registry = QM.MEGAPHONE_IMPLS if impl == "megaphone" else QN.NATIVE_IMPLS
+    read, applied, posted = set(), set(), set()
+
+    def rows(data):
+        for r in S.rows(data):
+            yield _Reads(r, read)
+
+    class Recording(registry[query]):
+        def apply(self, time, data):
+            applied.add(frozenset(data) - {"bin"})
+            super().apply(time, _Reads(data, read))
+
+        def take_postdated(self):
+            out = super().take_postdated()
+            posted.update(frozenset(pl) for _, pl in out)
+            return out
+
+    monkeypatch.setattr(QM, "rows", rows)
+    monkeypatch.setattr(QN, "rows", rows)
+    monkeypatch.setitem(registry, query, Recording)
+    S.run_nexmark(
+        query=query, impl=impl, n_events=6_000, rate_per_s=10_000, n_bins=64, seed=3
+    )
+    fields = frozenset(QUERY_FIELDS[query])
+    assert applied == {fields}
+    assert posted == ({fields} if query in ("q4", "q5", "q7") else set())
+    assert read - {"bin"} | {"k"} == fields
