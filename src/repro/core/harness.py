@@ -53,7 +53,7 @@ def run_open_loop(
     :class:`ConfigAuthority` on every apply) or ``"native"``. ``migrations``
     is a list of dicts ``{"at_s": float, "moves": "imbalance"|"rebalance"|
     list, "strategy": str, "batch_size": int|None, "gap_ticks": int}``; the
-    driver waits the largest ``gap_ticks`` between steps.
+    driver waits a migration's ``gap_ticks`` between its steps.
 
     ``source(t0)`` returns the records that arrived during the tick before
     ``t0``, as ``(data, arrival times in seconds)``, or None if there were
@@ -86,10 +86,7 @@ def run_open_loop(
             bin_fn=bin_fn,
             authority=authority,
         )
-        gap_ticks = max((m.get("gap_ticks", 0) for m in migrations), default=0)
-        driver = MigrationDriver(
-            sim, control_in, mo.probe, authority=authority, gap_ticks=gap_ticks
-        )
+        driver = MigrationDriver(sim, control_in, mo.probe, authority=authority)
         for m in migrations:
             moves = m["moves"]
             if moves == "imbalance":
@@ -102,6 +99,7 @@ def run_open_loop(
                 m["strategy"],
                 batch_size=m.get("batch_size"),
                 assignment=assignment,
+                gap_ticks=m.get("gap_ticks", 0),
             )
     else:
         assert not migrations, "native operator cannot migrate"

@@ -127,17 +127,16 @@ class MigrationDriver:
         probe: Probe,
         *,
         authority: ConfigAuthority,
-        gap_ticks: int = 0,
     ):
         self.sim = sim
         self.control = control_input
         self.probe = probe
         self.authority = authority
-        self.gap_ticks = gap_ticks
-        # (at_s, record, steps), ordered by at_s
-        self.queue: list[tuple[float, MigrationRecord, list]] = []
+        # (at_s, record, steps, gap_ticks), ordered by at_s
+        self.queue: list[tuple[float, MigrationRecord, list, int]] = []
         self.active: Optional[MigrationRecord] = None
         self._steps: list[list[tuple[int, int]]] = []
+        self._gap_ticks = 0
         self._last_step_time: Optional[int] = None
         self._gap_left = 0
         self.records: list[MigrationRecord] = []
@@ -151,7 +150,10 @@ class MigrationDriver:
         *,
         batch_size: Optional[int] = None,
         assignment: Optional[np.ndarray] = None,
+        gap_ticks: int = 0,
     ) -> MigrationRecord:
+        """Queue a migration to start at ``at_s``; its steps are spaced by
+        ``gap_ticks`` idle ticks after each one completes."""
         steps = plan_steps(
             moves, strategy, batch_size=batch_size, assignment=assignment
         )
@@ -161,7 +163,7 @@ class MigrationDriver:
             steps_total=len(steps),
             moves_total=len(moves),
         )
-        self.queue.append((at_s, rec, steps))
+        self.queue.append((at_s, rec, steps, gap_ticks))
         self.queue.sort(key=lambda x: x[0])
         self.records.append(rec)
         return rec
@@ -173,7 +175,7 @@ class MigrationDriver:
         self.authority.table.compact(self.probe.op.could_produce)
         t_ns = int(round(t0 * 1e9))
         if self.active is None and self.queue and t0 >= self.queue[0][0] - 1e-12:
-            _, self.active, self._steps = self.queue.pop(0)
+            _, self.active, self._steps, self._gap_ticks = self.queue.pop(0)
             self._last_step_time = None
             self._gap_left = 0
             sim.latency_windows.append(self.active.window)
@@ -194,7 +196,7 @@ class MigrationDriver:
                     rec.started_s = t0
                 rec.steps_issued += 1
                 self._last_step_time = t_ns
-                self._gap_left = self.gap_ticks
+                self._gap_left = self._gap_ticks
             elif prev_done and rec.steps_issued == rec.steps_total:
                 rec.completed_s = self.sim.now
                 sim.latency_windows.remove(rec.window)

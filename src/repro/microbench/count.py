@@ -84,16 +84,6 @@ class CountLogic(StateLogic):
         return len(self.owned)
 
 
-class NativeCountLogic(StateLogic):
-    """Baseline: per-worker dense counts, no bins (not migrateable)."""
-
-    def __init__(self, worker: int, scaled_keys: int):
-        self.counts = untouched_zeros(scaled_keys)
-
-    def apply(self, time: int, data) -> None:
-        np.add.at(self.counts, data["k"], 1)
-
-
 @dataclass
 class CountRun:
     """Result of one counting run."""
@@ -159,16 +149,14 @@ def run_count(
         )
 
     def make_logic(w: int) -> StateLogic:
-        if impl == "megaphone":
-            lg = CountLogic(
-                w,
-                scaled_keys=scaled_keys,
-                n_bins=n_bins,
-                bin_nbytes=bin_nbytes,
-                assignment=assign,
-            )
-        else:
-            lg = NativeCountLogic(w, scaled_keys)
+        # the native operator never calls the bin methods
+        lg = CountLogic(
+            w,
+            scaled_keys=scaled_keys,
+            n_bins=n_bins,
+            bin_nbytes=bin_nbytes,
+            assignment=assign,
+        )
         logics.append(lg)
         return lg
 

@@ -1,18 +1,15 @@
 """Streaming NEXMark on the simulated timely runtime.
 
-Events flow as dict-of-numpy-array batches. :data:`FIELDS` is the schema
-every event can be projected from; each query assigns its routing key into
-``k``. Multi-input queries (Q3, Q8) multiplex both relations onto one keyed
-stream — exactly the reduction the paper describes for operators with
-multiple data inputs.
-
-As in the paper, where each query maps the events into a record type of its
-own, a query's records carry only its :data:`QUERY_FIELDS`: the fields its
-logic reads, plus ``k`` (F routes on it) and, where the logic walks records
-in stream order with :func:`rows`, ``seq``. ``run_nexmark`` projects the
-replayed stream to them, and the logics build their timer payloads over the
-same fields (``QueryRun.fields``), so every pending record of a query has
-the same columns.
+Events flow as dict-of-numpy-array batches. As in the paper, where each
+query maps the events into a record type of its own, there is no common
+schema: :func:`query_stream` builds each query's records from the
+generator's columns with only its :data:`QUERY_FIELDS`, the fields its
+logic reads, plus ``k``, the routing key F routes on, and, where the logic
+walks records in stream order with :func:`rows`, ``seq``. The logics build
+their timer payloads over the same fields (``QueryRun.fields``), so every
+pending record of a query has the same columns. Multi-input queries (Q3,
+Q8) multiplex both relations onto one keyed stream — exactly the reduction
+the paper describes for operators with multiple data inputs.
 
 ``run_nexmark`` replays a generated event stream at its native rate on the
 shared open-loop harness (:func:`repro.core.harness.run_open_loop`),
@@ -32,50 +29,33 @@ from repro.core.harness import run_open_loop
 from repro.core.operators import StateLogic
 from repro.core.strategies import MigrationRecord, initial_assignment
 from repro.latency.histogram import LatencyHistogram
-from repro.nexmark.generator import nexmark_events, split_events
+from repro.nexmark.generator import (
+    AUCTION,
+    BID,
+    PERSON,
+    US_STATES,
+    nexmark_events,
+    split_events,
+)
 from repro.timely.cost import CostModel
 from repro.timely.engine import Simulation
 
-# the schema of every event: etypes 0 person / 1 auction / 2 bid / 3 closed
-# auction / 9 timer
-FIELDS = (
-    "k",
-    "seq",
-    "etype",
-    "ts",
-    "id",
-    "seller",
-    "category",
-    "expires",
-    "auction",
-    "bidder",
-    "price",
-    "state_code",
-    "city_code",
-    "w",
-)
+# etypes past the generator's 0 person / 1 auction / 2 bid
 CLOSED, TIMER = 3, 9
 HOT_STATE_CODES = (0, 1, 2)  # OR, ID, CA in generator.US_STATES order
 Q3_CATEGORY = 7
 EUR = 0.908  # Q1's dollar-to-euro rate
 
 
-def payload(
-    n: int = 0, *, fields: Sequence[str] = FIELDS, **cols
-) -> dict[str, np.ndarray]:
+def payload(n: int = 0, *, fields: Sequence[str], **cols) -> dict[str, np.ndarray]:
     """Build a stream payload with the ``fields`` present (zeros where
     ``cols`` gives none); columns not among them are dropped."""
     if cols:
         n = max(n, max(len(np.atleast_1d(v)) for v in cols.values()))
     out = {}
     for f in fields:
-        if f in cols:
-            out[f] = np.asarray(cols[f]).astype(
-                np.float64 if f == "price" else np.int64
-            )
-        else:
-            dtype = np.float64 if f == "price" else np.int64
-            out[f] = np.zeros(n, dtype=dtype)
+        dtype = np.float64 if f == "price" else np.int64
+        out[f] = np.asarray(cols[f]).astype(dtype) if f in cols else np.zeros(n, dtype)
     return out
 
 
@@ -159,6 +139,8 @@ class QueryRun:
 
     assignment: np.ndarray
     results: list
+    # the columns of the query's records, timer payloads included
+    fields: Sequence[str]
     window_ms: int = 10_000
     slide_ms: int = 2_000
     last_n: int = 10
@@ -167,8 +149,6 @@ class QueryRun:
     # simulated per-bin state bytes, like the nominal key domain in the
     # count microbenchmark (DESIGN.md substitution table)
     state_scale: float = 1.0
-    # the columns of the query's records, timer payloads included
-    fields: Sequence[str] = FIELDS
 
 
 @dataclass
@@ -193,60 +173,63 @@ QUERY_FIELDS = {
     "q7": ("k", "seq", "etype", "price"),
     "q8": ("k", "seq", "etype", "ts"),
 }
+# the event types each query keeps
+QUERY_ETYPES = {
+    "q1": (BID,),
+    "q2": (BID,),
+    "q3": (PERSON, AUCTION),
+    "q4": (AUCTION, BID),
+    "q5": (BID,),
+    "q6": (CLOSED,),
+    "q7": (BID,),
+    "q8": (PERSON, AUCTION),
+}
+# the source column of each field whose name differs from it
+SOURCE = {"ts": "ts_ms", "expires": "expires_ms"}
 
 
-def events_to_stream(query: str, events: pd.DataFrame, qr: QueryRun) -> dict:
-    """Project generated events into a query's keyed stream, over all of
-    :data:`FIELDS`."""
-    from repro.nexmark.generator import AUCTION, BID, PERSON, US_STATES, CITIES
-
-    e = events
-    etype = e.etype.to_numpy().astype(np.int64)
-    state_code = np.where(etype == PERSON, _codes(e.state, US_STATES), 0)
-    city_code = np.where(etype == PERSON, _codes(e.city, CITIES), 0)
-    base = dict(
-        seq=np.arange(len(e), dtype=np.int64),
-        etype=etype,
-        ts=e.ts_ms.to_numpy(),
-        id=e.id.to_numpy(),
-        seller=e.seller.to_numpy(),
-        category=e.category.to_numpy(),
-        expires=e.expires_ms.to_numpy(),
-        auction=e.auction.to_numpy(),
-        bidder=e.bidder.to_numpy(),
-        price=e.price.to_numpy(),
-        state_code=state_code,
-        city_code=city_code,
-    )
-    if query in ("q1", "q2"):
-        key = base["auction"]
-        keep = etype == BID
-    elif query in ("q3", "q8"):
-        key = np.where(etype == PERSON, base["id"], base["seller"])
-        keep = etype != BID
-    elif query in ("q4", "q5"):
-        key = np.where(etype == AUCTION, base["id"], base["auction"])
-        keep = (etype == AUCTION) | (etype == BID)
-        if query == "q5":
-            keep = etype == BID
-            key = base["auction"]
-    elif query == "q7":
-        key = base["ts"] // qr.window_ms
-        keep = etype == BID
-    elif query == "q6":
-        raise ValueError("q6 uses closed_auction_stream()")
-    else:
+def query_stream(
+    query: str, events: pd.DataFrame, qr: QueryRun
+) -> tuple[dict, np.ndarray]:
+    """Build a query's keyed stream over ``qr.fields`` from the generated
+    events (Q6: from their :func:`closed_auctions`), and return it with its
+    records' event times in ms, which drive the replay clock. ``seq`` is a
+    record's position in its source frame; fields no source column holds
+    (Q5's ``w``) are zeros."""
+    if query not in QUERY_ETYPES:
         raise ValueError(query)
-    out = payload(**{k: v[keep] for k, v in base.items()})
-    out["k"] = key[keep].astype(np.int64)
-    return out
+    if query == "q6":
+        events = closed_auctions(events)
+    keep = np.flatnonzero(events.etype.isin(QUERY_ETYPES[query]))
+
+    def col(c: str) -> np.ndarray:
+        return events[c].to_numpy()[keep]
+
+    etype = col("etype")
+    if query in ("q3", "q8"):
+        k = np.where(etype == PERSON, col("id"), col("seller"))
+    elif query == "q4":
+        k = np.where(etype == AUCTION, col("id"), col("auction"))
+    elif query == "q7":
+        k = col("ts_ms") // qr.window_ms
+    else:
+        k = col("seller" if query == "q6" else "auction")
+    cols = {"k": k, "seq": keep}
+    for f in qr.fields:
+        if f == "state_code":
+            codes = pd.Categorical(col("state"), categories=US_STATES).codes
+            cols[f] = np.where(etype == PERSON, codes, 0)
+        elif f not in cols and SOURCE.get(f, f) in events:
+            cols[f] = col(SOURCE.get(f, f))
+    return payload(fields=qr.fields, **cols), col("ts_ms")
 
 
-def closed_auction_stream(events: pd.DataFrame) -> dict:
-    """Q6 input: the closed-auction stream (seller, final price), the Q4
-    prefix the paper shares between Q4 and Q6 — derived here from the event
-    relations, ordered by closing time."""
-    p, a, b = split_events(events)
+def closed_auctions(events: pd.DataFrame) -> pd.DataFrame:
+    """Q6's input relation: each auction with a valid bid, closed at its
+    expiry with its seller and final price (the Q4 prefix the paper shares
+    between Q4 and Q6), ordered by closing time, under the generator's
+    column names (``etype`` is :data:`CLOSED`, ``ts_ms`` the close time)."""
+    _, a, b = split_events(events)
     j = b.merge(a, left_on="auction", right_on="id", suffixes=("_b", "_a"))
     j = j[(j.ts_ms_b >= j.ts_ms_a) & (j.ts_ms_b < j.expires_ms)]
     closed = (
@@ -255,20 +238,7 @@ def closed_auction_stream(events: pd.DataFrame) -> dict:
         .sort_values(["expires_ms", "id"])
         .reset_index(drop=True)
     )
-    return payload(
-        k=closed.seller.to_numpy(),
-        seq=np.arange(len(closed)),
-        etype=np.full(len(closed), CLOSED),
-        ts=closed.expires_ms.to_numpy(),
-        id=closed.id.to_numpy(),
-        seller=closed.seller.to_numpy(),
-        price=closed.price.to_numpy(),
-    )
-
-
-def _codes(col: pd.Series, vocab: np.ndarray) -> np.ndarray:
-    m = {s: i for i, s in enumerate(vocab)}
-    return col.map(lambda s: m.get(s, 0)).to_numpy(dtype=np.int64)
+    return closed.assign(etype=CLOSED, ts_ms=closed.expires_ms)
 
 
 def run_nexmark(
@@ -302,14 +272,8 @@ def run_nexmark(
         fields=QUERY_FIELDS[query],
     )
     events = nexmark_events(int(n_events), rate_per_s=rate_per_s, seed=seed)
-    if query == "q6":
-        stream = closed_auction_stream(events)
-    else:
-        stream = events_to_stream(query, events, qr)
-    # the replay clock; read before the projection, which drops ``ts`` from
-    # the queries that do not read it
-    ts_s = stream["ts"] * 1e-3
-    stream = {f: stream[f] for f in qr.fields}
+    stream, ts_ms = query_stream(query, events, qr)
+    ts_s = ts_ms * 1e-3  # the replay clock
     registry = QM.MEGAPHONE_IMPLS if impl == "megaphone" else QN.NATIVE_IMPLS
     logic_cls = registry[query]
     logics: list = []

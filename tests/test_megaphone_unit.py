@@ -732,6 +732,32 @@ class TestAuthorityCompaction:
             assert r.owner_of_bin(b) == [w]
 
 
+class TestMigrationDriver:
+    def test_each_migration_spaces_its_steps_by_its_own_gap(self):
+        """Two queued fluid migrations, with gaps 0 and 3: each waits its
+        own gap after a step completes before it issues the next."""
+        r = Rig()
+        driver = MigrationDriver(r.sim, r.control, r.mo.probe, authority=r.authority)
+        there = [(b, (b + 1) % W) for b in range(6)]
+        back = [(b, b % W) for b in range(6)]
+        recs = [
+            driver.schedule_migration(0.002, there, "fluid", gap_ticks=0),
+            driver.schedule_migration(0.003, back, "fluid", gap_ticks=3),
+        ]
+        issued = [[], []]
+        for i in range(80):
+            r.send_keys(np.arange(i % 16, DOMAIN, 16))
+            r.data.advance_to(r.now_ns() + MS)
+            r.tick()
+            for rec, ticks in zip(recs, issued):
+                if rec.steps_issued > len(ticks):
+                    ticks.append(r.sim.tick_index)
+        assert all(rec.completed_s is not None for rec in recs)
+        assert [len(t) for t in issued] == [6, 6]
+        spacing = [np.diff(t) for t in issued]
+        assert np.array_equal(spacing[1], spacing[0] + 3)
+
+
 class TestPendingRecordsMigrate:
     def test_notificator_entries_travel_with_bin(self):
         """A record pending in the moved bin (a timer L post-dated beyond

@@ -55,7 +55,7 @@ COUNT_CASES = {
         flavour="key",
         migrations=[
             {"at_s": 0.3, "moves": "imbalance", "strategy": "fluid", "gap_ticks": 1},
-            {"at_s": 0.7, "moves": "rebalance", "strategy": "fluid"},
+            {"at_s": 0.7, "moves": "rebalance", "strategy": "fluid", "gap_ticks": 1},
         ],
     ),
     "hash-optimized-gap-imbalanced": _count(

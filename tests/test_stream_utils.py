@@ -1,5 +1,5 @@
-"""Unit tests for the NEXMark stream utilities (payload schema, keyed bin
-state helper, stream projections, each query's fields)."""
+"""Unit tests for the NEXMark stream utilities (payloads, keyed bin state
+helper, each query's stream builder and fields)."""
 import numpy as np
 import pytest
 
@@ -7,32 +7,34 @@ from repro.core.strategies import initial_assignment
 from repro.nexmark import queries_megaphone as QM
 from repro.nexmark import queries_native as QN
 from repro.nexmark import stream as S
-from repro.nexmark.generator import AUCTION, BID, PERSON, nexmark_events
+from repro.nexmark.generator import AUCTION, BID, PERSON, US_STATES, nexmark_events
 from repro.nexmark.stream import (
     CLOSED,
-    FIELDS,
     QUERY_FIELDS,
     KeyedBinState,
     QueryRun,
-    closed_auction_stream,
-    events_to_stream,
+    closed_auctions,
     payload,
+    query_stream,
 )
 
 
 class TestPayload:
-    def test_all_fields_present(self):
-        p = payload(5)
-        assert set(p) == set(FIELDS)
-        assert all(len(v) == 5 for v in p.values())
+    def test_absent_fields_are_typed_zeros(self):
+        p = payload(k=np.array([4, 5]), fields=("k", "w", "price"))
+        assert list(p) == ["k", "w", "price"]
+        assert p["w"].tolist() == [0, 0] and p["w"].dtype == np.int64
+        assert p["price"].tolist() == [0.0, 0.0] and p["price"].dtype == np.float64
 
     def test_price_is_float(self):
-        p = payload(3)
+        p = payload(3, fields=("k", "price"))
         assert p["price"].dtype == np.float64
         assert p["k"].dtype == np.int64
 
     def test_columns_override(self):
-        p = payload(k=np.array([1, 2]), price=np.array([1.5, 2.5]))
+        p = payload(
+            k=np.array([1, 2]), price=np.array([1.5, 2.5]), fields=("k", "etype", "price")
+        )
         assert p["k"].tolist() == [1, 2]
         assert p["price"].tolist() == [1.5, 2.5]
         assert p["etype"].tolist() == [0, 0]
@@ -66,59 +68,94 @@ class TestKeyedBinState:
         assert self.st.owned() == 3
 
 
+@pytest.fixture(scope="module")
+def events():
+    return nexmark_events(5000, rate_per_s=1000, seed=2)
+
+
+def build(query, events, window_ms=10_000):
+    """``query``'s stream with ``seq`` added where its fields lack it, and
+    the source frame that ``seq`` indexes."""
+    fields = dict.fromkeys(QUERY_FIELDS[query] + ("seq",))
+    qr = QueryRun(
+        assignment=initial_assignment(64, 4),
+        results=[],
+        fields=tuple(fields),
+        window_ms=window_ms,
+    )
+    s, ts_ms = query_stream(query, events, qr)
+    src = closed_auctions(events) if query == "q6" else events
+    return s, ts_ms, src.iloc[s["seq"]]
+
+
 class TestStreamProjections:
-    @pytest.fixture(scope="class")
-    def events(self):
-        return nexmark_events(5000, rate_per_s=1000, seed=2)
-
-    def qr(self):
-        return QueryRun(assignment=initial_assignment(64, 4), results=[])
-
     def test_q3_key_is_person_or_seller(self, events):
-        s = events_to_stream("q3", events, self.qr())
-        assert set(np.unique(s["etype"])) <= {PERSON, AUCTION}
-        persons = s["etype"] == PERSON
-        assert np.array_equal(s["k"][persons], s["id"][persons])
-        assert np.array_equal(s["k"][~persons], s["seller"][~persons])
+        s, _, src = build("q3", events)
+        assert set(src.etype) == {PERSON, AUCTION}
+        persons = (src.etype == PERSON).to_numpy()
+        assert np.array_equal(s["k"][persons], src.id[persons])
+        assert np.array_equal(s["k"][~persons], src.seller[~persons])
 
     def test_q4_keeps_auctions_and_bids(self, events):
-        s = events_to_stream("q4", events, self.qr())
-        assert set(np.unique(s["etype"])) == {AUCTION, BID}
-        bids = s["etype"] == BID
-        assert np.array_equal(s["k"][bids], s["auction"][bids])
+        s, _, src = build("q4", events)
+        assert set(src.etype) == {AUCTION, BID}
+        bids = (src.etype == BID).to_numpy()
+        assert np.array_equal(s["k"][bids], src.auction[bids])
+        assert np.array_equal(s["k"][~bids], src.id[~bids])
 
     def test_q5_bids_only(self, events):
-        s = events_to_stream("q5", events, self.qr())
-        assert set(np.unique(s["etype"])) == {BID}
+        s, _, src = build("q5", events)
+        assert np.array_equal(s["seq"], np.flatnonzero(events.etype == BID))
 
     def test_q7_key_is_window(self, events):
-        qr = self.qr()
-        s = events_to_stream("q7", events, qr)
-        assert np.array_equal(s["k"], s["ts"] // qr.window_ms)
+        s, _, src = build("q7", events, window_ms=700)
+        assert np.array_equal(s["k"], src.ts_ms // 700)
 
     def test_timestamps_monotone(self, events):
-        for q in ["q1", "q2", "q3", "q4", "q5", "q7", "q8"]:
-            s = events_to_stream(q, events, self.qr())
-            assert np.all(np.diff(s["ts"]) >= 0), q
+        for q in QUERY_FIELDS:
+            _, ts_ms, src = build(q, events)
+            assert np.array_equal(ts_ms, src.ts_ms), q
+            assert np.all(np.diff(ts_ms) >= 0), q
 
     def test_unknown_query_rejected(self, events):
+        qr = QueryRun(assignment=initial_assignment(64, 4), results=[], fields=("k",))
         with pytest.raises(ValueError):
-            events_to_stream("q99", events, self.qr())
+            query_stream("q99", events, qr)
 
     def test_q6_uses_closed_stream(self, events):
-        with pytest.raises(ValueError):
-            events_to_stream("q6", events, self.qr())
+        s, ts_ms, src = build("q6", events)
+        assert np.array_equal(s["seq"], np.arange(len(closed_auctions(events))))
+        assert set(s["etype"]) == {CLOSED}
+        assert np.array_equal(ts_ms, src.expires_ms)
 
 
 class TestClosedAuctionStream:
-    def test_sorted_by_close_time(self):
-        events = nexmark_events(5000, rate_per_s=1000, seed=2)
-        s = closed_auction_stream(events)
-        assert np.all(np.diff(s["ts"]) >= 0)
-        assert set(np.unique(s["etype"])) == {CLOSED}
-        assert np.array_equal(s["k"], s["seller"])
+    def test_sorted_by_close_time(self, events):
+        s, ts_ms, src = build("q6", events)
+        assert len(s["k"]) > 0
+        assert np.all(np.diff(ts_ms) >= 0)
+        assert np.array_equal(s["k"], src.seller)
         # one closed record per auction with at least one valid bid
-        assert len(np.unique(s["id"])) == len(s["id"])
+        assert src.id.is_unique
+
+
+@pytest.mark.parametrize("query", sorted(QUERY_FIELDS))
+def test_columns_are_their_source_columns(events, query):
+    """Every column of a query's records equals the source column of the
+    events it keeps, in the source's order, with the payload's dtypes;
+    ``state_code`` is a person's index in ``US_STATES`` and ``w``, which no
+    event carries, is zero."""
+    s, _, src = build(query, events)
+    assert list(s) == list(dict.fromkeys(QUERY_FIELDS[query] + ("seq",)))
+    assert np.all(np.diff(s["seq"]) > 0)
+    source = {"ts": src.ts_ms, "expires": src.expires_ms, "w": 0 * src.ts_ms}
+    if "state_code" in s:
+        codes = [list(US_STATES).index(x) if x else 0 for x in src.state]
+        source["state_code"] = np.where(src.etype == PERSON, codes, 0)
+    for f, col in s.items():
+        if f not in ("k", "seq"):
+            assert np.array_equal(col, source.get(f, src.get(f))), f
+        assert col.dtype == (np.float64 if f == "price" else np.int64), f
 
 
 class _Reads(dict):
