@@ -15,11 +15,15 @@ The paper used the reference Java generator at 4x10^6 events/s on a
 cluster; we substitute this scaled generator (substitution recorded in
 DESIGN.md). Determinism in ``seed`` lets the DuckDB oracle check every
 query result exactly.
+
+The events are one dict of numpy columns, the shape the simulated
+dataflow's batches have, so the simulator's NEXMark path needs no pandas.
+Only :func:`split_events`, which makes the relations the DuckDB oracle
+reads, builds pandas frames.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 US_STATES = np.array(["OR", "ID", "CA", "WA", "NV", "NY", "AZ", "TX"])
 CITIES = np.array(
@@ -37,14 +41,14 @@ def nexmark_events(
     *,
     rate_per_s: float = 10_000.0,
     seed: int = 0,
-) -> pd.DataFrame:
-    """Generate ``n`` interleaved NEXMark events as one pandas DataFrame.
+) -> dict[str, np.ndarray]:
+    """Generate ``n`` interleaved NEXMark events as a dict of numpy columns.
 
     Columns: ``ts_ms`` (event time), ``etype`` (0 person / 1 auction /
     2 bid), and per-type fields (unused fields are 0/empty): ``id``,
-    ``state``, ``city``, ``name`` for persons; ``id``, ``seller``,
-    ``category``, ``expires_ms`` for auctions; ``auction``, ``bidder``,
-    ``price`` for bids.
+    ``state``, ``city`` for persons; ``id``, ``seller``, ``category``,
+    ``expires_ms`` for auctions; ``auction``, ``bidder``, ``price`` for
+    bids.
     """
     g = np.random.default_rng(seed)
     i = np.arange(n, dtype=np.int64)
@@ -79,38 +83,33 @@ def nexmark_events(
     price = np.where(etype == BID, g.uniform(1.0, 1000.0, n).round(2), 0.0)
 
     state_idx = g.integers(0, len(US_STATES), n)
-    df = pd.DataFrame(
-        {
-            "ts_ms": ts_ms,
-            "etype": etype,
-            "id": np.where(etype == PERSON, pid, aid),
-            "state": np.where(etype == PERSON, US_STATES[state_idx], ""),
-            "city": np.where(etype == PERSON, CITIES[state_idx], ""),
-            "name": np.where(
-                etype == PERSON,
-                np.char.add("person-", persons_so_far.astype(str)),
-                "",
-            ),
-            "seller": seller,
-            "category": category,
-            "expires_ms": expires_ms,
-            "auction": bid_auction,
-            "bidder": bidder,
-            "price": price,
-        }
-    )
-    return df
+    return {
+        "ts_ms": ts_ms,
+        "etype": etype,
+        "id": np.where(etype == PERSON, pid, aid),
+        "state": np.where(etype == PERSON, US_STATES[state_idx], ""),
+        "city": np.where(etype == PERSON, CITIES[state_idx], ""),
+        "seller": seller,
+        "category": category,
+        "expires_ms": expires_ms,
+        "auction": bid_auction,
+        "bidder": bidder,
+        "price": price,
+    }
 
 
-def split_events(events: pd.DataFrame) -> tuple[pd.DataFrame, pd.DataFrame, pd.DataFrame]:
-    """Split the interleaved stream into (persons, auctions, bids) relations."""
-    p = events[events.etype == PERSON][["ts_ms", "id", "state", "city", "name"]]
-    a = events[events.etype == AUCTION][
-        ["ts_ms", "id", "seller", "category", "expires_ms"]
-    ]
-    b = events[events.etype == BID][["ts_ms", "auction", "bidder", "price"]]
-    return (
-        p.reset_index(drop=True),
-        a.reset_index(drop=True),
-        b.reset_index(drop=True),
-    )
+def split_events(events: dict[str, np.ndarray]):
+    """Split the interleaved stream into (persons, auctions, bids) pandas
+    frames, the relations the DuckDB oracle reads. A person's ``name`` is
+    ``"person-<id>"``."""
+    import pandas as pd
+
+    def relation(etype: int, cols: list[str]) -> pd.DataFrame:
+        keep = events["etype"] == etype
+        return pd.DataFrame({c: events[c][keep] for c in cols})
+
+    p = relation(PERSON, ["ts_ms", "id", "state", "city"])
+    p["name"] = "person-" + p.id.astype(str)
+    a = relation(AUCTION, ["ts_ms", "id", "seller", "category", "expires_ms"])
+    b = relation(BID, ["ts_ms", "auction", "bidder", "price"])
+    return p, a, b

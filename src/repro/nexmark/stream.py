@@ -1,6 +1,8 @@
 """Streaming NEXMark on the simulated timely runtime.
 
-Events flow as dict-of-numpy-array batches. As in the paper, where each
+Events flow as dict-of-numpy-array batches, from the generator's columns
+on; pandas appears only in :func:`~repro.nexmark.generator.split_events`
+and the DuckDB oracle that reads it. As in the paper, where each
 query maps the events into a record type of its own, there is no common
 schema: :func:`query_stream` builds each query's records from the
 generator's columns with only its :data:`QUERY_FIELDS`, the fields its
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import pandas as pd
 
 from repro.core.binning import bin_of_keys, hash_keys
 from repro.core.harness import run_open_loop
@@ -35,7 +36,6 @@ from repro.nexmark.generator import (
     PERSON,
     US_STATES,
     nexmark_events,
-    split_events,
 )
 from repro.timely.cost import CostModel
 from repro.timely.engine import Simulation
@@ -189,21 +189,21 @@ SOURCE = {"ts": "ts_ms", "expires": "expires_ms"}
 
 
 def query_stream(
-    query: str, events: pd.DataFrame, qr: QueryRun
+    query: str, events: dict[str, np.ndarray], qr: QueryRun
 ) -> tuple[dict, np.ndarray]:
     """Build a query's keyed stream over ``qr.fields`` from the generated
     events (Q6: from their :func:`closed_auctions`), and return it with its
     records' event times in ms, which drive the replay clock. ``seq`` is a
-    record's position in its source frame; fields no source column holds
+    record's position in its source columns; fields no source column holds
     (Q5's ``w``) are zeros."""
     if query not in QUERY_ETYPES:
         raise ValueError(query)
     if query == "q6":
         events = closed_auctions(events)
-    keep = np.flatnonzero(events.etype.isin(QUERY_ETYPES[query]))
+    keep = np.flatnonzero(np.isin(events["etype"], QUERY_ETYPES[query]))
 
     def col(c: str) -> np.ndarray:
-        return events[c].to_numpy()[keep]
+        return events[c][keep]
 
     etype = col("etype")
     if query in ("q3", "q8"):
@@ -217,28 +217,35 @@ def query_stream(
     cols = {"k": k, "seq": keep}
     for f in qr.fields:
         if f == "state_code":
-            codes = pd.Categorical(col("state"), categories=US_STATES).codes
-            cols[f] = np.where(etype == PERSON, codes, 0)
+            # a person's index in US_STATES; 0 for an auction's empty state
+            cols[f] = (col("state")[:, None] == US_STATES).argmax(axis=1)
         elif f not in cols and SOURCE.get(f, f) in events:
             cols[f] = col(SOURCE.get(f, f))
     return payload(fields=qr.fields, **cols), col("ts_ms")
 
 
-def closed_auctions(events: pd.DataFrame) -> pd.DataFrame:
+def closed_auctions(events: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Q6's input relation: each auction with a valid bid, closed at its
     expiry with its seller and final price (the Q4 prefix the paper shares
     between Q4 and Q6), ordered by closing time, under the generator's
     column names (``etype`` is :data:`CLOSED`, ``ts_ms`` the close time)."""
-    _, a, b = split_events(events)
-    j = b.merge(a, left_on="auction", right_on="id", suffixes=("_b", "_a"))
-    j = j[(j.ts_ms_b >= j.ts_ms_a) & (j.ts_ms_b < j.expires_ms)]
-    closed = (
-        j.groupby(["id", "seller", "expires_ms"], as_index=False)
-        .price.max()
-        .sort_values(["expires_ms", "id"])
-        .reset_index(drop=True)
-    )
-    return closed.assign(etype=CLOSED, ts_ms=closed.expires_ms)
+    ts, expires = events["ts_ms"], events["expires_ms"]
+    auctions = np.flatnonzero(events["etype"] == AUCTION)
+    bids = np.flatnonzero(events["etype"] == BID)
+    # auction ids are sequential from 1: auction id i is event auctions[i - 1]
+    a = events["auction"][bids] - 1
+    valid = (ts[bids] >= ts[auctions[a]]) & (ts[bids] < expires[auctions[a]])
+    final = np.full(len(auctions), -np.inf)  # each auction's best valid bid
+    np.maximum.at(final, a[valid], events["price"][bids[valid]])
+    closed = np.flatnonzero(final > -np.inf)
+    closed = closed[np.lexsort((closed, expires[auctions[closed]]))]
+    cols = {c: events[c][auctions[closed]] for c in ("id", "seller", "expires_ms")}
+    return {
+        **cols,
+        "price": final[closed],
+        "etype": np.full(len(closed), CLOSED),
+        "ts_ms": cols["expires_ms"],
+    }
 
 
 def run_nexmark(

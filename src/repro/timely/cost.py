@@ -24,6 +24,7 @@ Calibration targets (documented in DESIGN.md / EXPERIMENTS.md):
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,8 @@ class CostModel:
 
     def jitter(self, cost: float) -> float:
         """Apply multiplicative lognormal jitter plus rare additive spikes."""
-        j = cost * float(self._rng.lognormal(0.0, self.jitter_sigma))
+        # numpy's lognormal(0, sigma) is exp(0 + sigma * z): the same draw
+        j = cost * math.exp(self.jitter_sigma * self._rng.standard_normal())
         if self._rng.random() < self.spike_prob:
             j += float(self._rng.exponential(self.spike_scale))
         return j

@@ -1,4 +1,5 @@
 """Unit tests for the calibrated cluster cost model."""
+import numpy as np
 import pytest
 
 from repro.timely.cost import CostModel
@@ -77,3 +78,19 @@ class TestCostModel:
     def test_jitter_nonnegative_and_scaled(self):
         c = CostModel(jitter_sigma=0.0, spike_prob=0.0)
         assert c.jitter(2e-3) == pytest.approx(2e-3)
+
+
+def test_jitter_draws_numpys_lognormal_stream():
+    """jitter's exp(sigma * z) draw gives bit for bit what numpy's
+    lognormal(0, sigma) gives, spikes included, so the charges of every
+    simulated run stay the same."""
+    c = CostModel(seed=42)
+    ref = np.random.default_rng(42)
+    spikes = 0
+    for _ in range(100_000):
+        want = 1e-3 * float(ref.lognormal(0.0, c.jitter_sigma))
+        if ref.random() < c.spike_prob:
+            want += float(ref.exponential(c.spike_scale))
+            spikes += 1
+        assert c.jitter(1e-3) == want
+    assert spikes > 0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nexmark.generator import nexmark_events, split_events
-from repro.nexmark.stream import run_nexmark
+from repro.nexmark.stream import closed_auctions, run_nexmark
 
 N_EVENTS = 30_000
 SEED = 5
@@ -157,6 +157,17 @@ class TestStreamingQueries:
             """
         ).fetchall()
         assert sorted(r.results) == sorted((int(p), int(w)) for p, w in exp)
+
+
+def test_closed_auctions_equal_duckdb(oracle):
+    """Q6's numpy join gives CLOSED_SQL's auctions, in closing order."""
+    c = closed_auctions(nexmark_events(N_EVENTS, rate_per_s=10_000, seed=SEED))
+    got = list(zip(*(c[f].tolist() for f in ("id", "seller", "expires_ms", "price"))))
+    exp = oracle.execute(
+        f"SELECT aid, seller, expires_ms, fp FROM ({CLOSED_SQL}) ORDER BY expires_ms, aid"
+    ).fetchall()
+    assert len(got) > 0
+    assert got == exp
 
 
 class TestMigrationBehaviour:

@@ -1,6 +1,13 @@
 """Unit tests for the NEXMark stream utilities (payloads, keyed bin state
 helper, each query's stream builder and fields)."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.strategies import initial_assignment
@@ -75,7 +82,7 @@ def events():
 
 def build(query, events, window_ms=10_000):
     """``query``'s stream with ``seq`` added where its fields lack it, and
-    the source frame that ``seq`` indexes."""
+    its source columns, as a frame, at the rows ``seq`` indexes."""
     fields = dict.fromkeys(QUERY_FIELDS[query] + ("seq",))
     qr = QueryRun(
         assignment=initial_assignment(64, 4),
@@ -85,7 +92,7 @@ def build(query, events, window_ms=10_000):
     )
     s, ts_ms = query_stream(query, events, qr)
     src = closed_auctions(events) if query == "q6" else events
-    return s, ts_ms, src.iloc[s["seq"]]
+    return s, ts_ms, pd.DataFrame(src).iloc[s["seq"]]
 
 
 class TestStreamProjections:
@@ -105,7 +112,7 @@ class TestStreamProjections:
 
     def test_q5_bids_only(self, events):
         s, _, src = build("q5", events)
-        assert np.array_equal(s["seq"], np.flatnonzero(events.etype == BID))
+        assert np.array_equal(s["seq"], np.flatnonzero(events["etype"] == BID))
 
     def test_q7_key_is_window(self, events):
         s, _, src = build("q7", events, window_ms=700)
@@ -124,7 +131,7 @@ class TestStreamProjections:
 
     def test_q6_uses_closed_stream(self, events):
         s, ts_ms, src = build("q6", events)
-        assert np.array_equal(s["seq"], np.arange(len(closed_auctions(events))))
+        assert np.array_equal(s["seq"], np.arange(len(closed_auctions(events)["id"])))
         assert set(s["etype"]) == {CLOSED}
         assert np.array_equal(ts_ms, src.expires_ms)
 
@@ -156,6 +163,34 @@ def test_columns_are_their_source_columns(events, query):
         if f not in ("k", "seq"):
             assert np.array_equal(col, source.get(f, src.get(f))), f
         assert col.dtype == (np.float64 if f == "price" else np.int64), f
+
+
+def test_simulated_nexmark_and_key_count_load_no_pandas():
+    """The simulator's NEXMark and key-count paths run on numpy columns:
+    a process that imports them and replays Q4 and Q6 never imports
+    pandas (only ``split_events`` and the DuckDB oracle do)."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import repro.microbench.count
+        from repro.nexmark import queries_megaphone, queries_native, stream
+        for q in ("q4", "q6"):
+            stream.run_nexmark(
+                query=q, impl="megaphone", n_events=3_000, n_bins=64, seed=1
+            )
+        print("pandas" in sys.modules)
+        """
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 class _Reads(dict):
